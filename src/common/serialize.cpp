@@ -5,13 +5,34 @@
 namespace vdce::common {
 
 namespace {
-// Writes `v`'s bytes most-significant first.
+
+// Stores `v`'s bytes most-significant first.
+template <typename T>
+void store_be(std::byte* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = std::byte{
+        static_cast<std::uint8_t>(v >> ((sizeof(T) - 1 - i) * 8))};
+  }
+}
+
+// Loads a big-endian `T`.
+template <typename T>
+T load_be(const std::byte* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>((v << 8) | static_cast<std::uint8_t>(p[i]));
+  }
+  return v;
+}
+
+// Appends `v`'s bytes most-significant first.
 template <typename T>
 void put_be(std::vector<std::byte>& buf, T v) {
   for (int shift = (sizeof(T) - 1) * 8; shift >= 0; shift -= 8) {
     buf.push_back(std::byte{static_cast<std::uint8_t>(v >> shift)});
   }
 }
+
 }  // namespace
 
 void WireWriter::write_u16(std::uint16_t v) { put_be(buf_, v); }
@@ -34,8 +55,19 @@ void WireWriter::write_bytes(std::span<const std::byte> bytes) {
 }
 
 void WireWriter::write_f64_vector(std::span<const double> values) {
+  reserve(4 + values.size() * 8);
   write_u32(static_cast<std::uint32_t>(values.size()));
-  for (double v : values) write_f64(v);
+  write_f64s(values);
+}
+
+void WireWriter::write_f64s(std::span<const double> values) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + values.size() * 8);
+  std::byte* p = buf_.data() + at;
+  for (const double v : values) {
+    store_be(p, std::bit_cast<std::uint64_t>(v));
+    p += 8;
+  }
 }
 
 std::uint8_t WireReader::read_u8() {
@@ -45,26 +77,22 @@ std::uint8_t WireReader::read_u8() {
 
 std::uint16_t WireReader::read_u16() {
   need(2);
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i)
-    v = static_cast<std::uint16_t>((v << 8) |
-                                   static_cast<std::uint8_t>(data_[pos_++]));
+  const auto v = load_be<std::uint16_t>(data_.data() + pos_);
+  pos_ += 2;
   return v;
 }
 
 std::uint32_t WireReader::read_u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v = (v << 8) | static_cast<std::uint8_t>(data_[pos_++]);
+  const auto v = load_be<std::uint32_t>(data_.data() + pos_);
+  pos_ += 4;
   return v;
 }
 
 std::uint64_t WireReader::read_u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v = (v << 8) | static_cast<std::uint8_t>(data_[pos_++]);
+  const auto v = load_be<std::uint64_t>(data_.data() + pos_);
+  pos_ += 8;
   return v;
 }
 
@@ -89,12 +117,27 @@ std::vector<std::byte> WireReader::read_bytes() {
 }
 
 std::vector<double> WireReader::read_f64_vector() {
-  const std::uint32_t n = read_u32();
-  need(static_cast<std::size_t>(n) * 8);
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(read_f64());
+  std::vector<double> out(read_count(8));
+  read_f64s(out);
   return out;
+}
+
+void WireReader::read_f64s(std::span<double> out) {
+  need(out.size() * 8);
+  const std::byte* p = data_.data() + pos_;
+  for (double& v : out) {
+    v = std::bit_cast<double>(load_be<std::uint64_t>(p));
+    p += 8;
+  }
+  pos_ += out.size() * 8;
+}
+
+std::uint32_t WireReader::read_count(std::size_t min_elem_bytes) {
+  const std::uint32_t n = read_u32();
+  if (min_elem_bytes != 0 && n > remaining() / min_elem_bytes) {
+    throw ParseError("wire element count exceeds the bytes left");
+  }
+  return n;
 }
 
 }  // namespace vdce::common

@@ -35,6 +35,11 @@ class WireWriter {
   void write_bytes(std::span<const std::byte> bytes);
   /// Length-prefixed (u32) vector of doubles.
   void write_f64_vector(std::span<const double> values);
+  /// A run of doubles with no length prefix (the reader knows the count).
+  void write_f64s(std::span<const double> values);
+  /// Makes room for `extra` more bytes, so that an encoder which knows
+  /// its size up front fills one buffer without reallocating.
+  void reserve(std::size_t extra) { buf_.reserve(buf_.size() + extra); }
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buf_); }
@@ -60,6 +65,12 @@ class WireReader {
   [[nodiscard]] std::string read_string();
   [[nodiscard]] std::vector<std::byte> read_bytes();
   [[nodiscard]] std::vector<double> read_f64_vector();
+  /// Fills `out` from a run of doubles with no length prefix.
+  void read_f64s(std::span<double> out);
+  /// Reads a u32 element count and bounds it by the bytes left: throws
+  /// ParseError when `count * min_elem_bytes` exceeds remaining(), so a
+  /// garbage count can never size an allocation.
+  [[nodiscard]] std::uint32_t read_count(std::size_t min_elem_bytes);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }

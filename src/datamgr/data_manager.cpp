@@ -65,7 +65,7 @@ tasklib::Payload DataManager::run(const tasklib::TaskRegistry& registry,
             return;
           }
           // One copy at the decode boundary: Payload owns its bytes.
-          received[i] = tasklib::Payload::from_wire(msg->data.to_vector());
+          received[i] = tasklib::Payload::from_wire(msg->data.bytes());
         } catch (const std::exception& e) {
           errors[i] = e.what();
         }

@@ -32,7 +32,7 @@ tasklib::Payload IoService::read_input(const std::string& spec) const {
   std::vector<std::byte> wire;
   char c;
   while (in.get(c)) wire.push_back(static_cast<std::byte>(c));
-  return tasklib::Payload::from_wire(std::move(wire));
+  return tasklib::Payload::from_wire(wire);
 }
 
 void IoService::write_output(const std::filesystem::path& path,

@@ -131,8 +131,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
       slot.attempts = entry->attempt;
       slot.outcome.completed = true;
       slot.outcome.compute_elapsed_s = entry->compute_s;
-      slot.outcome.payload =
-          tasklib::Payload::from_wire(entry->frame.to_vector());
+      slot.outcome.payload = tasklib::Payload::from_wire(entry->frame.bytes());
       // Keep the pinned frame: replay feeders send it zero-copy, and a
       // re-capture below shares the same slab.
       slot.outcome.output_frame = std::move(entry->frame);

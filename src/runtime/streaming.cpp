@@ -251,7 +251,7 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
               eos = true;
               break;
             }
-            inputs.push_back(tasklib::Payload::from_wire(fv->to_vector()));
+            inputs.push_back(tasklib::Payload::from_wire(fv->bytes()));
           }
           if (eos) break;
 

@@ -26,6 +26,27 @@ std::string to_string(PayloadType t) {
   return "unknown";
 }
 
+namespace {
+
+// std::complex<double> is layout-compatible with double[2], so a complex
+// vector is a run of 2n doubles: re0, im0, re1, im1, ...
+std::span<const double> as_doubles(const std::vector<Complex>& v) {
+  return {reinterpret_cast<const double*>(v.data()), v.size() * 2};
+}
+std::span<double> as_doubles(std::vector<Complex>& v) {
+  return {reinterpret_cast<double*>(v.data()), v.size() * 2};
+}
+
+// Throws ParseError unless `cells` doubles are left to read, before a
+// matrix of that many cells is allocated.
+void require_cells(const WireReader& r, std::size_t cells) {
+  if (cells > r.remaining() / 8) {
+    throw ParseError("matrix payload shorter than its dimensions");
+  }
+}
+
+}  // namespace
+
 void Payload::require(PayloadType t) const {
   if (type_ != t) {
     throw StateError("payload type mismatch: have " + to_string(type_) +
@@ -47,16 +68,18 @@ Payload Payload::of_vector(const std::vector<double>& v) {
 
 Payload Payload::of_matrix(const Matrix& m) {
   WireWriter w;
+  w.reserve(8 + m.data().size() * 8);
   w.write_u32(static_cast<std::uint32_t>(m.rows()));
   w.write_u32(static_cast<std::uint32_t>(m.cols()));
-  for (double v : m.data()) w.write_f64(v);
+  w.write_f64s(m.data());
   return Payload(PayloadType::kMatrix, w.take());
 }
 
 Payload Payload::of_lu(const LuFactors& f) {
   WireWriter w;
+  w.reserve(4 + f.lu.data().size() * 8 + f.perm.size() * 4 + 1);
   w.write_u32(static_cast<std::uint32_t>(f.lu.rows()));
-  for (double v : f.lu.data()) w.write_f64(v);
+  w.write_f64s(f.lu.data());
   for (std::size_t p : f.perm) w.write_u32(static_cast<std::uint32_t>(p));
   w.write_u8(f.perm_sign > 0 ? 1 : 0);
   return Payload(PayloadType::kLuFactors, w.take());
@@ -64,11 +87,9 @@ Payload Payload::of_lu(const LuFactors& f) {
 
 Payload Payload::of_complex_vector(const std::vector<Complex>& v) {
   WireWriter w;
+  w.reserve(4 + v.size() * 16);
   w.write_u32(static_cast<std::uint32_t>(v.size()));
-  for (const Complex& c : v) {
-    w.write_f64(c.real());
-    w.write_f64(c.imag());
-  }
+  w.write_f64s(as_doubles(v));
   return Payload(PayloadType::kComplexVector, w.take());
 }
 
@@ -154,15 +175,16 @@ void Payload::write_wire(std::span<std::byte> out) const {
   }
 }
 
-Payload Payload::from_wire(std::vector<std::byte> wire) {
+Payload Payload::from_wire(std::span<const std::byte> wire) {
   if (wire.empty()) throw ParseError("empty payload wire image");
   const auto tag = static_cast<std::uint8_t>(wire.front());
   if (tag < static_cast<std::uint8_t>(PayloadType::kScalar) ||
       tag > static_cast<std::uint8_t>(PayloadType::kText)) {
     throw ParseError("unknown payload type tag");
   }
-  wire.erase(wire.begin());
-  return Payload(static_cast<PayloadType>(tag), std::move(wire));
+  const auto body = wire.subspan(1);
+  return Payload(static_cast<PayloadType>(tag),
+                 std::vector<std::byte>(body.begin(), body.end()));
 }
 
 double Payload::as_scalar() const {
@@ -182,8 +204,9 @@ Matrix Payload::as_matrix() const {
   WireReader r(bytes_);
   const std::uint32_t rows = r.read_u32();
   const std::uint32_t cols = r.read_u32();
+  require_cells(r, std::size_t{rows} * cols);
   Matrix m(rows, cols);
-  for (double& v : m.data()) v = r.read_f64();
+  r.read_f64s(m.data());
   return m;
 }
 
@@ -191,9 +214,10 @@ LuFactors Payload::as_lu() const {
   require(PayloadType::kLuFactors);
   WireReader r(bytes_);
   const std::uint32_t n = r.read_u32();
+  require_cells(r, std::size_t{n} * n);
   LuFactors f;
   f.lu = Matrix(n, n);
-  for (double& v : f.lu.data()) v = r.read_f64();
+  r.read_f64s(f.lu.data());
   f.perm.resize(n);
   for (auto& p : f.perm) p = r.read_u32();
   f.perm_sign = r.read_u8() != 0 ? 1 : -1;
@@ -203,25 +227,19 @@ LuFactors Payload::as_lu() const {
 std::vector<Complex> Payload::as_complex_vector() const {
   require(PayloadType::kComplexVector);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_u32();
-  std::vector<Complex> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const double re = r.read_f64();
-    const double im = r.read_f64();
-    out.emplace_back(re, im);
-  }
+  std::vector<Complex> out(r.read_count(16));
+  r.read_f64s(as_doubles(out));
   return out;
 }
 
 std::vector<std::vector<SensorReport>> Payload::as_report_scans() const {
   require(PayloadType::kReportScans);
   WireReader r(bytes_);
-  const std::uint32_t nscans = r.read_u32();
+  const std::uint32_t nscans = r.read_count(4);
   std::vector<std::vector<SensorReport>> out;
   out.reserve(nscans);
   for (std::uint32_t s = 0; s < nscans; ++s) {
-    const std::uint32_t n = r.read_u32();
+    const std::uint32_t n = r.read_count(32);
     std::vector<SensorReport> scan;
     scan.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -240,11 +258,11 @@ std::vector<std::vector<SensorReport>> Payload::as_report_scans() const {
 std::vector<std::vector<Detection>> Payload::as_detection_scans() const {
   require(PayloadType::kDetectionScans);
   WireReader r(bytes_);
-  const std::uint32_t nscans = r.read_u32();
+  const std::uint32_t nscans = r.read_count(4);
   std::vector<std::vector<Detection>> out;
   out.reserve(nscans);
   for (std::uint32_t s = 0; s < nscans; ++s) {
-    const std::uint32_t n = r.read_u32();
+    const std::uint32_t n = r.read_count(32);
     std::vector<Detection> scan;
     scan.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -263,7 +281,7 @@ std::vector<std::vector<Detection>> Payload::as_detection_scans() const {
 std::vector<Track> Payload::as_tracks() const {
   require(PayloadType::kTracks);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_u32();
+  const std::uint32_t n = r.read_count(52);
   std::vector<Track> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -284,7 +302,7 @@ std::vector<Track> Payload::as_tracks() const {
 std::vector<Threat> Payload::as_threats() const {
   require(PayloadType::kThreats);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_u32();
+  const std::uint32_t n = r.read_count(12);
   std::vector<Threat> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -63,9 +63,9 @@ class Payload {
   [[nodiscard]] static Payload of_threats(const std::vector<Threat>& threats);
   [[nodiscard]] static Payload of_text(const std::string& text);
 
-  /// Reconstructs a payload from raw channel bytes (type tag included).
-  /// Throws ParseError on malformed input.
-  [[nodiscard]] static Payload from_wire(std::vector<std::byte> wire);
+  /// Reconstructs a payload from raw channel bytes (type tag included),
+  /// copying the body once.  Throws ParseError on malformed input.
+  [[nodiscard]] static Payload from_wire(std::span<const std::byte> wire);
 
   /// The full wire image (type tag + body) to put on a channel.
   [[nodiscard]] std::vector<std::byte> to_wire() const;

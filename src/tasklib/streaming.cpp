@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <numbers>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "tasklib/fft.hpp"
@@ -33,6 +36,44 @@ std::vector<double> windowed_sinc_fir(std::size_t taps, double cutoff) {
   return h;
 }
 
+namespace {
+
+// A process-wide table of immutable vectors, each built once on first
+// use of its key.  Entries are never erased, so a returned reference
+// stays valid for the life of the process.
+template <typename Key>
+class VectorTable {
+ public:
+  template <typename Build>
+  const std::vector<double>& get(const Key& key, Build&& build) {
+    std::lock_guard lk(mu_);
+    auto it = table_.find(key);
+    if (it == table_.end()) it = table_.emplace(key, build()).first;
+    return it->second;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<Key, std::vector<double>> table_;
+};
+
+// The up-scaled interpolation FIR of rational_resample, per (taps, up,
+// down).
+const std::vector<double>& resample_fir(std::size_t taps, unsigned up,
+                                        unsigned down) {
+  static VectorTable<std::tuple<std::size_t, unsigned, unsigned>> table;
+  return table.get({taps, up, down}, [&] {
+    const double cutoff = 0.5 / static_cast<double>(std::max(up, down));
+    std::vector<double> h = windowed_sinc_fir(taps, cutoff);
+    // The zero-stuffed signal carries 1/up of the original power per
+    // sample; the interpolation filter restores it.
+    for (double& v : h) v *= static_cast<double>(up);
+    return h;
+  });
+}
+
+}  // namespace
+
 std::vector<double> rational_resample(const std::vector<double>& signal,
                                       unsigned up, unsigned down,
                                       std::size_t taps) {
@@ -43,26 +84,26 @@ std::vector<double> rational_resample(const std::vector<double>& signal,
   const std::size_t out_len =
       (n * up + down - 1) / down;  // ceil(n * up / down)
   if (n == 0) return {};
-  const double cutoff = 0.5 / static_cast<double>(std::max(up, down));
-  std::vector<double> h = windowed_sinc_fir(taps, cutoff);
-  // The zero-stuffed signal carries 1/up of the original power per
-  // sample; the interpolation filter restores it.
-  for (double& v : h) v *= static_cast<double>(up);
+  const std::vector<double>& h = resample_fir(taps, up, down);
 
   std::vector<double> out(out_len, 0.0);
   // out[m] = sum_k h[k] * stuffed[m*down - k], where stuffed[j] is
-  // signal[j/up] when up divides j and 0 otherwise — so only taps with
-  // (m*down - k) % up == 0 contribute, and the stuffed signal is never
-  // materialized.
+  // signal[j/up] when up divides j and 0 otherwise — so only the
+  // polyphase taps k = pos mod up, pos mod up + up, ... contribute, in
+  // ascending k with src = (pos - k) / up stepping down by one.  Taps
+  // whose src lies past the signal contribute nothing and are skipped.
   for (std::size_t m = 0; m < out_len; ++m) {
     const std::size_t pos = m * down;
+    std::size_t k = pos % up;
+    std::size_t src = pos / up;
+    if (src >= n) {
+      k += (src - (n - 1)) * up;
+      src = n - 1;
+    }
     double acc = 0.0;
-    for (std::size_t k = 0; k < h.size() && k <= pos; ++k) {
-      const std::size_t j = pos - k;
-      if (j % up != 0) continue;
-      const std::size_t src = j / up;
-      if (src >= n) continue;
+    for (; k < taps; k += up, --src) {
       acc += h[k] * signal[src];
+      if (src == 0) break;
     }
     out[m] = acc;
   }
@@ -75,6 +116,20 @@ namespace {
 std::size_t window_len(double input_size) {
   return std::max<std::size_t>(
       16, static_cast<std::size_t>(std::lround(64.0 * input_size)));
+}
+
+// The noiseless part of a source window of n samples: two tones.
+const std::vector<double>& two_tones(std::size_t n) {
+  static VectorTable<std::size_t> table;
+  return table.get(n, [n] {
+    std::vector<double> w(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t = static_cast<double>(i) / static_cast<double>(n);
+      w[i] = std::sin(2.0 * std::numbers::pi * 5.0 * t) +
+             0.5 * std::sin(2.0 * std::numbers::pi * 12.0 * t);
+    }
+    return w;
+  });
 }
 
 repo::TaskPerformanceRecord stream_perf(const std::string& name,
@@ -111,13 +166,10 @@ void register_streaming_menu(TaskRegistry& r) {
       0, 0,
       [](const std::vector<Payload>&, const TaskContext& ctx) {
         const std::size_t n = window_len(ctx.input_size);
+        const std::vector<double>& tones = two_tones(n);
         std::vector<double> w(n);
         for (std::size_t i = 0; i < n; ++i) {
-          const double t =
-              static_cast<double>(i) / static_cast<double>(n);
-          w[i] = std::sin(2.0 * std::numbers::pi * 5.0 * t) +
-                 0.5 * std::sin(2.0 * std::numbers::pi * 12.0 * t) +
-                 0.1 * ctx.rng->normal();
+          w[i] = tones[i] + 0.1 * ctx.rng->normal();
         }
         return Payload::of_vector(w);
       },

@@ -2,7 +2,9 @@
 // statistics, queues, string helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -247,6 +249,53 @@ TEST(WireTest, BytesRoundTrip) {
   w.write_bytes(data);
   WireReader r(w.bytes());
   EXPECT_EQ(r.read_bytes(), data);
+}
+
+TEST(WireTest, F64RunMatchesOneAtATime) {
+  const std::vector<double> v{1.0, -0.0, 3.25e-300, -7.5e300,
+                              std::numeric_limits<double>::infinity()};
+  WireWriter bulk, single;
+  bulk.write_f64s(v);
+  for (const double x : v) single.write_f64(x);
+  EXPECT_EQ(bulk.bytes(), single.bytes());
+  std::vector<double> back(v.size());
+  WireReader r(bulk.bytes());
+  r.read_f64s(back);
+  EXPECT_TRUE(r.done());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+              std::bit_cast<std::uint64_t>(v[i]));
+  }
+}
+
+TEST(WireTest, CountIsBoundedByTheBytesLeft) {
+  WireWriter w;
+  w.write_u32(3);
+  w.write_u32(0);
+  w.write_u32(0);
+  w.write_u32(0);
+  {
+    WireReader r(w.bytes());
+    EXPECT_EQ(r.read_count(4), 3u);  // exactly 12 bytes follow
+  }
+  {
+    WireReader r(w.bytes());
+    EXPECT_THROW((void)r.read_count(5), ParseError);
+  }
+  // A garbage count must fail before anything is sized from it.
+  WireWriter huge;
+  huge.write_u32(0xFFFFFFFFu);
+  {
+    WireReader r(huge.bytes());
+    EXPECT_THROW((void)r.read_count(1), ParseError);
+  }
+  {
+    WireReader r(huge.bytes());
+    EXPECT_THROW((void)r.read_f64_vector(), ParseError);
+  }
+  // Zero-byte elements carry no bound.
+  WireReader r(huge.bytes());
+  EXPECT_EQ(r.read_count(0), 0xFFFFFFFFu);
 }
 
 // ---------------------------------------------------------------- stats

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <span>
+#include <thread>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,6 +18,7 @@
 #include "tasklib/matrix.hpp"
 #include "tasklib/payload.hpp"
 #include "tasklib/registry.hpp"
+#include "tasklib/streaming.hpp"
 
 namespace vdce::tasklib {
 namespace {
@@ -563,9 +570,260 @@ TEST(PayloadTest, WireImageRoundTrip) {
 }
 
 TEST(PayloadTest, BadWireImageThrows) {
-  EXPECT_THROW((void)Payload::from_wire({}), common::ParseError);
-  EXPECT_THROW((void)Payload::from_wire({std::byte{0xFF}}),
+  EXPECT_THROW((void)Payload::from_wire(std::span<const std::byte>{}),
                common::ParseError);
+  const std::byte bad_tag[] = {std::byte{0xFF}};
+  EXPECT_THROW((void)Payload::from_wire(bad_tag), common::ParseError);
+}
+
+TEST(PayloadTest, GarbageCountsThrowParseErrorBeforeAllocating) {
+  // Tag + a body of all-0xFF bytes: every count or dimension reads as
+  // ~4e9, far past the bytes that follow.
+  for (auto tag = static_cast<std::uint8_t>(PayloadType::kVector);
+       tag <= static_cast<std::uint8_t>(PayloadType::kThreats); ++tag) {
+    std::vector<std::byte> wire(1 + 16, std::byte{0xFF});
+    wire[0] = std::byte{tag};
+    const auto p = Payload::from_wire(wire);
+    const auto decode = [&] {
+      switch (p.type()) {
+        case PayloadType::kVector:
+          (void)p.as_vector();
+          break;
+        case PayloadType::kMatrix:
+          (void)p.as_matrix();
+          break;
+        case PayloadType::kLuFactors:
+          (void)p.as_lu();
+          break;
+        case PayloadType::kComplexVector:
+          (void)p.as_complex_vector();
+          break;
+        case PayloadType::kReportScans:
+          (void)p.as_report_scans();
+          break;
+        case PayloadType::kDetectionScans:
+          (void)p.as_detection_scans();
+          break;
+        case PayloadType::kTracks:
+          (void)p.as_tracks();
+          break;
+        case PayloadType::kThreats:
+          (void)p.as_threats();
+          break;
+        default:
+          break;
+      }
+    };
+    EXPECT_THROW(decode(), common::ParseError) << to_string(p.type());
+  }
+}
+
+// ------------------------------------------------------ golden digests
+//
+// The kernels and payload codecs are pinned bit for bit: each digest is
+// FNV-1a over the exact output bits, taken from the straightforward
+// reference kernels (complex-recurrence FFT, modulo-scan resampler,
+// byte-at-a-time codec).  Any rewrite must reproduce them unchanged.
+// Inputs come from Rng::uniform, which is pure integer arithmetic, so
+// the inputs themselves do not depend on libm.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+std::uint64_t fnv_byte(std::uint64_t h, std::uint8_t b) {
+  return (h ^ b) * 0x100000001b3ull;
+}
+
+std::uint64_t fnv(std::uint64_t h, std::span<const std::byte> bytes) {
+  for (const std::byte b : bytes) {
+    h = fnv_byte(h, static_cast<std::uint8_t>(b));
+  }
+  return h;
+}
+
+// Little-endian bit pattern of each double.
+std::uint64_t fnv(std::uint64_t h, std::span<const double> values) {
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int s = 0; s < 64; s += 8) {
+      h = fnv_byte(h, static_cast<std::uint8_t>(bits >> s));
+    }
+  }
+  return h;
+}
+
+std::uint64_t fnv(std::uint64_t h, std::span<const Complex> values) {
+  for (const Complex& c : values) {
+    const double parts[] = {c.real(), c.imag()};
+    h = fnv(h, std::span<const double>(parts));
+  }
+  return h;
+}
+
+std::vector<double> uniform_signal(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+std::vector<Complex> uniform_complex(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Complex> v(n);
+  for (Complex& c : v) {
+    const double re = rng.uniform(-1.0, 1.0);
+    c = Complex(re, rng.uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+TEST(GoldenDigest, FftForwardAndInverseEverySize) {
+  std::uint64_t fwd = kFnvBasis, inv = kFnvBasis;
+  for (std::size_t log2n = 0; log2n <= 17; ++log2n) {
+    const auto input = uniform_complex(std::size_t{1} << log2n, 100 + log2n);
+    auto f = input;
+    fft_inplace(f, /*inverse=*/false);
+    fwd = fnv(fwd, std::span<const Complex>(f));
+    auto b = input;
+    fft_inplace(b, /*inverse=*/true);
+    inv = fnv(inv, std::span<const Complex>(b));
+  }
+  EXPECT_EQ(fwd, 0x55c95d13f5709f1eull) << std::hex << fwd;
+  EXPECT_EQ(inv, 0x758b8139c6e2ebd5ull) << std::hex << inv;
+}
+
+TEST(GoldenDigest, SpectralKernels) {
+  std::uint64_t spec = kFnvBasis, low = kFnvBasis, conv = kFnvBasis;
+  for (const std::size_t n : {1, 2, 3, 85, 128, 300, 1000}) {
+    spec = fnv(spec, power_spectrum(uniform_signal(n, 200 + n)));
+  }
+  for (const std::size_t n : {1, 85, 300, 1024}) {
+    for (const double cutoff : {0.1, 0.25, 0.5, 1.0}) {
+      low = fnv(low, lowpass_filter(uniform_signal(n, 300 + n), cutoff));
+    }
+  }
+  for (const std::size_t n : {1, 2, 8, 64, 1024}) {
+    conv = fnv(conv, circular_convolve(uniform_signal(n, 400 + n),
+                                       uniform_signal(n, 500 + n)));
+  }
+  EXPECT_EQ(spec, 0x254b10151165ae34ull) << std::hex << spec;
+  EXPECT_EQ(low, 0x596d4b437e44fa4eull) << std::hex << low;
+  EXPECT_EQ(conv, 0x7169b9f7f0bff104ull) << std::hex << conv;
+}
+
+TEST(GoldenDigest, RationalResample) {
+  const std::tuple<unsigned, unsigned, std::size_t> shapes[] = {
+      {3, 2, 48}, {2, 3, 48}, {1, 1, 1},  {1, 1, 48}, {5, 3, 17},
+      {4, 1, 48}, {1, 4, 31}, {7, 5, 64}, {3, 2, 1},  {2, 1, 200}};
+  std::uint64_t h = kFnvBasis;
+  for (const auto& [up, down, taps] : shapes) {
+    for (const std::size_t n : {0, 1, 7, 85, 300}) {
+      const auto out =
+          rational_resample(uniform_signal(n, 600 + n), up, down, taps);
+      EXPECT_EQ(out.size(), (n * up + down - 1) / down);
+      h = fnv(h, out);
+    }
+  }
+  EXPECT_EQ(h, 0xdb2c6a6d34d64860ull) << std::hex << h;
+}
+
+TEST(GoldenDigest, StreamingStagesOverSeeds) {
+  const auto& reg = builtin_registry();
+  // Window lengths 85, 64, 16, 128 and 77: the perfbench window, the
+  // unit window, the floor, a power of two and an odd size.
+  const double sizes[] = {85.0 / 64.0, 1.0, 0.1, 2.0, 77.0 / 64.0};
+  std::uint64_t h = kFnvBasis;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed);
+    const TaskContext ctx{sizes[seed % 5], &rng};
+    const auto src = reg.run("stream_window_source", {}, ctx);
+    const auto res = reg.run("stream_resample", {src}, ctx);
+    const auto spec = reg.run("stream_window_fft", {res}, ctx);
+    const auto sink = reg.run("stream_sink", {src, res, spec}, ctx);
+    for (const Payload* p : {&src, &res, &spec, &sink}) {
+      h = fnv(h, p->to_wire());
+    }
+  }
+  EXPECT_EQ(h, 0xc020ff6ce67ba3c5ull) << std::hex << h;
+}
+
+TEST(GoldenDigest, PayloadWireBytes) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::size_t n : {0, 1, 128, 1000}) {
+    const auto v = uniform_signal(n, 700 + n);
+    const auto p = Payload::of_vector(v);
+    EXPECT_EQ(p.as_vector(), v);
+    h = fnv(h, p.to_wire());
+  }
+  for (const std::size_t n : {0, 1, 64}) {
+    const auto v = uniform_complex(n, 800 + n);
+    const auto p = Payload::of_complex_vector(v);
+    EXPECT_EQ(p.as_complex_vector(), v);
+    h = fnv(h, p.to_wire());
+  }
+  Rng rng(900);
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{0, 0},
+                                   {1, 1}, {3, 5}, {16, 16}}) {
+    const auto m = Matrix::random(rows, cols, rng);
+    const auto p = Payload::of_matrix(m);
+    EXPECT_EQ(p.as_matrix(), m);
+    h = fnv(h, p.to_wire());
+  }
+  for (const std::size_t n : {1, 8, 33}) {
+    const auto f = lu_decompose(Matrix::random(n, n, rng));
+    const auto p = Payload::of_lu(f);
+    const auto back = p.as_lu();
+    EXPECT_EQ(back.lu, f.lu);
+    EXPECT_EQ(back.perm, f.perm);
+    EXPECT_EQ(back.perm_sign, f.perm_sign);
+    h = fnv(h, p.to_wire());
+  }
+  EXPECT_EQ(h, 0xadfaf085cdbdc050ull) << std::hex << h;
+}
+
+// Eight threads first-touch the same FFT size, FIR shape and source
+// window length at once (none of them used anywhere else in this
+// binary); every thread must see the same bits as a serial run.
+TEST(KernelTables, ConcurrentFirstTouchIsIdentical) {
+  constexpr int kThreads = 8;
+  const auto input = uniform_complex(std::size_t{1} << 18, 1000);
+  const auto signal = uniform_signal(300, 1001);
+  struct Result {
+    std::uint64_t fft = 0, resample = 0, source = 0;
+  };
+  std::vector<Result> results(kThreads);
+  std::latch start(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        auto data = input;
+        Rng rng(1002);
+        const TaskContext ctx{93.0 / 64.0, &rng};
+        start.arrive_and_wait();
+        fft_inplace(data);
+        results[t].fft = fnv(kFnvBasis, std::span<const Complex>(data));
+        results[t].resample =
+            fnv(kFnvBasis, rational_resample(signal, 11, 7, 37));
+        results[t].source = fnv(
+            kFnvBasis,
+            builtin_registry().run("stream_window_source", {}, ctx).to_wire());
+      });
+    }
+  }
+  auto serial = input;
+  fft_inplace(serial);
+  Rng rng(1002);
+  const TaskContext ctx{93.0 / 64.0, &rng};
+  const Result expected{
+      fnv(kFnvBasis, std::span<const Complex>(serial)),
+      fnv(kFnvBasis, rational_resample(signal, 11, 7, 37)),
+      fnv(kFnvBasis,
+          builtin_registry().run("stream_window_source", {}, ctx).to_wire())};
+  for (const Result& r : results) {
+    EXPECT_EQ(r.fft, expected.fft);
+    EXPECT_EQ(r.resample, expected.resample);
+    EXPECT_EQ(r.source, expected.source);
+  }
 }
 
 // ------------------------------------------------------------ registry
