@@ -93,8 +93,7 @@ afg::TaskProperties parse_props(const std::vector<std::string>& args,
     if (key == "mode") {
       props.mode = afg::compute_mode_from_string(value);
     } else if (key == "procs") {
-      props.num_processors =
-          static_cast<unsigned>(common::parse_uint(value, "procs"));
+      props.num_processors = common::parse_u32(value, "procs");
     } else if (key == "arch") {
       props.preferred_arch = repo::arch_from_string(value);
     } else if (key == "os") {

@@ -21,6 +21,24 @@ ComputeMode compute_mode_from_string(const std::string& s) {
   throw ParseError("unknown compute mode: " + s);
 }
 
+void check_properties(const std::string& label, const TaskProperties& props) {
+  if (props.num_processors == 0) {
+    throw StateError("task " + label + ": num_processors must be >= 1");
+  }
+  if (!(props.input_size > 0.0)) {
+    throw StateError("task " + label + ": input_size must be positive");
+  }
+}
+
+void check_task(const TaskNode& node) {
+  check_properties(node.label, node.props);
+  if (node.props.mode == ComputeMode::kSequential &&
+      node.props.num_processors != 1) {
+    throw StateError("task " + node.label +
+                     ": sequential mode requires exactly 1 processor");
+  }
+}
+
 TaskId FlowGraph::add_task(const std::string& library_task,
                            const std::string& label,
                            const TaskProperties& props) {
@@ -29,12 +47,7 @@ TaskId FlowGraph::add_task(const std::string& library_task,
   if (by_label_.contains(label)) {
     throw StateError("duplicate task label: " + label);
   }
-  if (props.num_processors == 0) {
-    throw StateError("task " + label + ": num_processors must be >= 1");
-  }
-  if (props.input_size <= 0.0) {
-    throw StateError("task " + label + ": input_size must be positive");
-  }
+  check_properties(label, props);
   const TaskId id{next_id_++};
   tasks_.push_back(TaskNode{id, library_task, label, props});
   by_label_.emplace(label, id);
@@ -160,13 +173,7 @@ std::vector<TaskId> FlowGraph::topological_order() const {
 void FlowGraph::validate() const {
   if (tasks_.empty()) throw StateError("application flow graph is empty");
   if (!is_dag()) throw StateError("application flow graph contains a cycle");
-  for (const TaskNode& t : tasks_) {
-    if (t.props.mode == ComputeMode::kSequential &&
-        t.props.num_processors != 1) {
-      throw StateError("task " + t.label +
-                       ": sequential mode requires exactly 1 processor");
-    }
-  }
+  for (const TaskNode& t : tasks_) check_task(t);
 }
 
 std::size_t FlowGraph::index_of(TaskId id) const {

@@ -62,6 +62,16 @@ struct TaskNode {
   TaskProperties props;
 };
 
+/// Throws StateError unless `props` make sense on their own: at least
+/// one processor and a positive input size.  add_task and the editor's
+/// property panel check this much, since the mode may still change.
+void check_properties(const std::string& label, const TaskProperties& props);
+
+/// check_properties plus the submit-time rule that a sequential task
+/// runs on exactly one processor.  validate() applies it to every node,
+/// and the site daemon to a node rebuilt from a wire request.
+void check_task(const TaskNode& node);
+
 /// One directed link of the AFG.
 struct Link {
   TaskId from;

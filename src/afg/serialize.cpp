@@ -11,7 +11,7 @@ namespace vdce::afg {
 using common::NotFoundError;
 using common::ParseError;
 using common::parse_double;
-using common::parse_uint;
+using common::parse_u32;
 using common::split_ws;
 using common::starts_with;
 using common::trim;
@@ -86,8 +86,7 @@ FlowGraph from_text(const std::string& text) {
         if (key == "mode") {
           props.mode = compute_mode_from_string(value);
         } else if (key == "procs") {
-          props.num_processors =
-              static_cast<unsigned>(parse_uint(value, "task procs"));
+          props.num_processors = parse_u32(value, "task procs");
         } else if (key == "arch") {
           props.preferred_arch = repo::arch_from_string(value);
         } else if (key == "os") {

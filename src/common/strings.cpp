@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -65,6 +66,15 @@ unsigned long parse_uint(std::string_view s, std::string_view context) {
                      ": '" + std::string(s) + "'");
   }
   return v;
+}
+
+std::uint32_t parse_u32(std::string_view s, std::string_view context) {
+  const unsigned long v = parse_uint(s, context);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw ParseError("value out of 32-bit range in " + std::string(context) +
+                     ": '" + std::string(trim(s)) + "'");
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 std::string join(const std::vector<std::string>& parts,

@@ -2,6 +2,7 @@
 // line-oriented persistence format.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,11 @@ namespace vdce::common {
 /// failure.
 [[nodiscard]] unsigned long parse_uint(std::string_view s,
                                        std::string_view context);
+
+/// parse_uint for 32-bit fields (ids, processor counts): also throws
+/// ParseError when the value does not fit, instead of wrapping it.
+[[nodiscard]] std::uint32_t parse_u32(std::string_view s,
+                                      std::string_view context);
 
 /// Joins strings with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,

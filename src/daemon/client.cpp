@@ -59,7 +59,7 @@ std::vector<std::byte> DaemonClient::call_once(
   const wire::MsgType got = wire::peek_type(*reply);
   if (got == wire::MsgType::kErrorReply) {
     throw StateError("daemon RPC failed: " +
-                     wire::decode_error_reply(*reply).what);
+                     wire::decode<wire::ErrorReply>(*reply).what);
   }
   if (got != expect) {
     throw common::ParseError(std::string("daemon RPC reply type mismatch: ") +
@@ -80,7 +80,7 @@ sched::HostSelectionMap DaemonClient::host_selection(
   req.threads = static_cast<std::uint32_t>(std::max<std::size_t>(1, threads));
   const auto reply =
       call(wire::encode(req), wire::MsgType::kHostSelectionResponse);
-  return wire::decode_host_selection_response(reply).selection;
+  return wire::decode<wire::HostSelectionResponse>(reply).selection;
 }
 
 sched::HostSelection DaemonClient::host_reselection(
@@ -88,7 +88,7 @@ sched::HostSelection DaemonClient::host_reselection(
   const auto reply =
       call(wire::encode(wire::make_reselection_request(node, excluded)),
            wire::MsgType::kReselectionResponse);
-  return wire::decode_reselection_response(reply).selection;
+  return wire::decode<wire::ReselectionResponse>(reply).selection;
 }
 
 void DaemonClient::record_task_time(const std::string& library_task,
@@ -102,7 +102,7 @@ void DaemonClient::report_task_failure(const rt::RescheduleRequest& request) {
 }
 
 void DaemonClient::shutdown() {
-  (void)call(wire::encode_shutdown(), wire::MsgType::kAck);
+  (void)call(wire::encode(wire::ShutdownRequest{}), wire::MsgType::kAck);
 }
 
 // ---------------------------------------------------------------------------

@@ -106,13 +106,8 @@ void ApplicationEditor::set_properties(TaskId id,
   if (mode_ == EditorMode::kRun) {
     throw StateError("the property panel is unavailable in run mode");
   }
-  if (props.num_processors == 0) {
-    throw StateError("num_processors must be >= 1");
-  }
-  if (props.input_size <= 0.0) {
-    throw StateError("input_size must be positive");
-  }
   afg::TaskNode& node = graph_.task(id);
+  afg::check_properties(node.label, props);
   node.props = props;
 
   // Rescale the default-sized outgoing links to the new input size.

@@ -12,6 +12,7 @@ namespace {
 using common::NotFoundError;
 using common::ParseError;
 using common::parse_double;
+using common::parse_u32;
 using common::parse_uint;
 using common::split;
 using common::trim;
@@ -116,8 +117,7 @@ void SiteRepository::load(const std::filesystem::path& dir) {
       u.user_name = f[0];
       u.password_hash = parse_uint(f[1], "users.db password_hash");
       u.salt = parse_uint(f[2], "users.db salt");
-      u.user_id = UserId(static_cast<std::uint32_t>(
-          parse_uint(f[3], "users.db user_id")));
+      u.user_id = UserId(parse_u32(f[3], "users.db user_id"));
       u.priority = static_cast<int>(parse_double(f[4], "users.db priority"));
       u.access_domain = f[5];
       users_.restore(u);
@@ -133,18 +133,15 @@ void SiteRepository::load(const std::filesystem::path& dir) {
         throw ParseError("bad resources.db row: " + line);
       }
       HostRecord r;
-      r.host = HostId(
-          static_cast<std::uint32_t>(parse_uint(f[1], "resources.db host")));
+      r.host = HostId(parse_u32(f[1], "resources.db host"));
       r.static_attrs.host_name = f[2];
       r.static_attrs.ip_address = f[3];
       r.static_attrs.arch = arch_from_string(f[4]);
       r.static_attrs.os = os_from_string(f[5]);
       r.static_attrs.total_memory_mb =
           parse_double(f[6], "resources.db total_memory");
-      r.static_attrs.site = SiteId(
-          static_cast<std::uint32_t>(parse_uint(f[7], "resources.db site")));
-      r.static_attrs.group = GroupId(
-          static_cast<std::uint32_t>(parse_uint(f[8], "resources.db group")));
+      r.static_attrs.site = SiteId(parse_u32(f[7], "resources.db site"));
+      r.static_attrs.group = GroupId(parse_u32(f[8], "resources.db group"));
       r.dynamic_attrs.cpu_load = parse_double(f[9], "resources.db load");
       r.dynamic_attrs.available_memory_mb =
           parse_double(f[10], "resources.db avail_memory");
@@ -176,11 +173,8 @@ void SiteRepository::load(const std::filesystem::path& dir) {
         tasks_.register_task(rec);
       } else if (f[0] == "hostweight") {
         if (f.size() != 4) throw ParseError("bad tasks.db row: " + line);
-        tasks_.set_power_weight(
-            f[1],
-            HostId(static_cast<std::uint32_t>(
-                parse_uint(f[2], "tasks.db host"))),
-            parse_double(f[3], "tasks.db weight"));
+        tasks_.set_power_weight(f[1], HostId(parse_u32(f[2], "tasks.db host")),
+                                parse_double(f[3], "tasks.db weight"));
       } else if (f[0] == "archweight") {
         if (f.size() != 4) throw ParseError("bad tasks.db row: " + line);
         tasks_.set_arch_weight(f[1], arch_from_string(f[2]),
@@ -198,10 +192,7 @@ void SiteRepository::load(const std::filesystem::path& dir) {
       const auto f = split(line, kSep);
       if (f.size() != 3) throw ParseError("bad constraints.db row: " + line);
       constraints_.set_location(
-          f[0],
-          HostId(static_cast<std::uint32_t>(
-              parse_uint(f[1], "constraints.db host"))),
-          f[2]);
+          f[0], HostId(parse_u32(f[1], "constraints.db host")), f[2]);
     }
   }
 }

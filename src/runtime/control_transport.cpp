@@ -24,23 +24,23 @@ void dispatch_control_frame(std::span<const std::byte> frame,
     case wire::MsgType::kMonitorReport: {
       // Monitor reports reaching a sink are treated as workload
       // updates (a site with no CI filter forwards raw reports).
-      const MonitorReport report = wire::decode_monitor_report(frame);
+      const auto report = wire::decode<MonitorReport>(frame);
       sink.on_workload(WorkloadUpdate{report.host, report.when,
                                       report.cpu_load,
                                       report.available_memory_mb});
       return;
     }
     case wire::MsgType::kWorkloadUpdate:
-      sink.on_workload(wire::decode_workload_update(frame));
+      sink.on_workload(wire::decode<WorkloadUpdate>(frame));
       return;
     case wire::MsgType::kLivenessChange:
-      sink.on_liveness(wire::decode_liveness_change(frame));
+      sink.on_liveness(wire::decode<LivenessChange>(frame));
       return;
     case wire::MsgType::kNetworkMeasurement:
-      sink.on_network(wire::decode_network_measurement(frame));
+      sink.on_network(wire::decode<NetworkMeasurement>(frame));
       return;
     case wire::MsgType::kRescheduleRequest:
-      sink.on_reschedule(wire::decode_reschedule_request(frame));
+      sink.on_reschedule(wire::decode<RescheduleRequest>(frame));
       return;
     default:
       throw common::ParseError(

@@ -1,5 +1,8 @@
 // Control-plane message types exchanged between the Resource Controller
 // components (Figure 6) and the Application Controller.
+//
+// Each struct lists its fields once, in wire order, for the field codec
+// of common/serialize.hpp (runtime/wire.hpp frames them).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,10 @@ struct MonitorReport {
   TimePoint when = 0.0;
   double cpu_load = 0.0;
   double available_memory_mb = 0.0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.host, m.when, m.cpu_load, m.available_memory_mb);
+  }
 };
 
 /// Group Manager -> Site Manager: a workload that changed "considerably"
@@ -32,6 +39,10 @@ struct WorkloadUpdate {
   TimePoint when = 0.0;
   double cpu_load = 0.0;
   double available_memory_mb = 0.0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.host, m.when, m.cpu_load, m.available_memory_mb);
+  }
 };
 
 /// Group Manager -> Site Manager: a host stopped answering echo packets
@@ -40,6 +51,8 @@ struct LivenessChange {
   HostId host;
   TimePoint when = 0.0;
   bool alive = false;
+
+  static auto fields(auto& m, auto&& v) { return v(m.host, m.when, m.alive); }
 };
 
 /// Group Manager -> Site Manager: measured intra-group network
@@ -49,6 +62,10 @@ struct NetworkMeasurement {
   TimePoint when = 0.0;
   Duration latency_s = 0.0;
   double transfer_mb_per_s = 0.0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.group, m.when, m.latency_s, m.transfer_mb_per_s);
+  }
 };
 
 /// Application Controller -> Group Manager: a running task must leave
@@ -68,6 +85,16 @@ struct RescheduleRequest {
   double observed_load = 0.0;
   Kind kind = Kind::kLoadThreshold;
   std::string reason;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.app, m.task, m.host, m.when, m.observed_load, m.kind,
+             m.reason);
+  }
 };
+
+/// The last RescheduleRequest::Kind; the wire decoder rejects any above.
+constexpr RescheduleRequest::Kind enum_max(RescheduleRequest::Kind) {
+  return RescheduleRequest::Kind::kTaskError;
+}
 
 }  // namespace vdce::rt

@@ -9,7 +9,9 @@
 //
 // carried as ONE Data Manager frame (the 4-byte length prefix of the
 // TCP transport delimits messages, so the wire format never needs its
-// own length field).  All scalars use the big-endian WireWriter codec.
+// own length field).  The payload is the message's fields() in order,
+// through the field codec of common/serialize.hpp; the type byte is the
+// message's position in the Messages list below.
 //
 // Compatibility contract:
 //   * decoders reject a wrong magic or an unknown version outright
@@ -40,37 +42,6 @@ namespace vdce::rt::wire {
 inline constexpr std::uint8_t kMagic = 0xC7;
 inline constexpr std::uint8_t kVersion = 1;
 
-/// Message discriminator (third header byte).  Append-only: existing
-/// values never change meaning.
-enum class MsgType : std::uint8_t {
-  kMonitorReport = 1,
-  kWorkloadUpdate = 2,
-  kLivenessChange = 3,
-  kNetworkMeasurement = 4,
-  kRescheduleRequest = 5,
-  kHeartbeat = 6,
-  // -- daemon RPCs ------------------------------------------------------
-  kTickRequest = 7,
-  kHostSelectionRequest = 8,
-  kHostSelectionResponse = 9,
-  kReselectionRequest = 10,
-  kReselectionResponse = 11,
-  kRecordTaskTime = 12,
-  kShutdownRequest = 13,
-  kAck = 14,
-  kErrorReply = 15,
-  // -- quorum liveness (D17) ---------------------------------------------
-  kPeerDigest = 16,
-  kGossipPing = 17,
-  kGossipAck = 18,
-  kPingReq = 19,
-  kPingReqReply = 20,
-  kPeerRoster = 21,
-  kRefute = 22,
-};
-
-[[nodiscard]] const char* to_string(MsgType type);
-
 /// A site daemon's liveness beacon to its watchdog.  The first beacon
 /// after a (re)start also announces the kernel-assigned RPC port.
 struct Heartbeat {
@@ -84,6 +55,10 @@ struct Heartbeat {
   std::uint32_t incarnation = 1;
   /// Gossip listener port (0 = gossip disabled); peers ping here.
   std::uint16_t gossip_port = 0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.site, m.pid, m.seq, m.rpc_port, m.incarnation, m.gossip_port);
+  }
 };
 
 // -- quorum liveness (D17) -----------------------------------------------
@@ -97,6 +72,10 @@ struct PeerHealth {
   double age_s = 0.0;
   /// Whether the origin's latest probe of the peer succeeded.
   bool reachable = false;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.site, m.incarnation, m.age_s, m.reachable);
+  }
 };
 
 /// Daemon -> watchdog (piggybacked on the heartbeat channel): who the
@@ -108,12 +87,18 @@ struct PeerDigest {
   common::SiteId origin_site;
   std::uint32_t origin_incarnation = 0;
   std::vector<PeerHealth> peers;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.origin_site, m.origin_incarnation, m.peers);
+  }
 };
 
 /// Peer -> peer direct probe ("are you there?").
 struct GossipPing {
   common::SiteId origin_site;
   std::uint64_t seq = 0;
+
+  static auto fields(auto& m, auto&& v) { return v(m.origin_site, m.seq); }
 };
 
 /// Probe answer: the target names itself and its incarnation.
@@ -121,6 +106,10 @@ struct GossipAck {
   common::SiteId site;
   std::uint32_t incarnation = 0;
   std::uint64_t seq = 0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.site, m.incarnation, m.seq);
+  }
 };
 
 /// Watchdog -> third site: "probe `target_site` for me" (the SWIM
@@ -130,6 +119,10 @@ struct PingReq {
   common::SiteId target_site;
   std::uint16_t target_gossip_port = 0;
   std::uint64_t seq = 0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.origin_site, m.target_site, m.target_gossip_port, m.seq);
+  }
 };
 
 /// Third site -> watchdog: the indirect probe's verdict.
@@ -139,6 +132,10 @@ struct PingReqReply {
   /// Incarnation the target answered with (0 when unreachable).
   std::uint32_t target_incarnation = 0;
   std::uint64_t seq = 0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.target_site, m.reachable, m.target_incarnation, m.seq);
+  }
 };
 
 /// One row of a PeerRoster.
@@ -149,11 +146,17 @@ struct PeerEndpoint {
   /// The watchdog currently suspects this site (peers that reach it
   /// should refute immediately rather than wait for the next digest).
   bool suspected = false;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.site, m.gossip_port, m.incarnation, m.suspected);
+  }
 };
 
 /// Watchdog -> daemon (gossip port): current peer membership.
 struct PeerRoster {
   std::vector<PeerEndpoint> peers;
+
+  static auto fields(auto& m, auto&& v) { return v(m.peers); }
 };
 
 /// Daemon -> watchdog (heartbeat channel): "I just heard site `site`
@@ -162,11 +165,17 @@ struct Refute {
   common::SiteId witness_site;
   common::SiteId site;
   std::uint32_t incarnation = 0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.witness_site, m.site, m.incarnation);
+  }
 };
 
 /// Coordinator -> daemon: advance the site's Control Manager to `now`.
 struct TickRequest {
   common::TimePoint now = 0.0;
+
+  static auto fields(auto& m, auto&& v) { return v(m.now); }
 };
 
 /// Coordinator -> daemon: run the Host Selection Algorithm over the
@@ -174,10 +183,14 @@ struct TickRequest {
 struct HostSelectionRequest {
   std::string graph_text;
   std::uint32_t threads = 1;
+
+  static auto fields(auto& m, auto&& v) { return v(m.graph_text, m.threads); }
 };
 
 struct HostSelectionResponse {
   sched::HostSelectionMap selection;
+
+  static auto fields(auto& m, auto&& v) { return v(m.selection); }
 };
 
 /// Coordinator -> daemon: re-place one task, excluding dead hosts.
@@ -189,10 +202,17 @@ struct ReselectionRequest {
   std::uint32_t num_processors = 1;
   bool parallel = false;
   std::vector<common::HostId> excluded;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.task, m.library_task, m.label, m.input_size, m.num_processors,
+             m.parallel, m.excluded);
+  }
 };
 
 struct ReselectionResponse {
   sched::HostSelection selection;
+
+  static auto fields(auto& m, auto&& v) { return v(m.selection); }
 };
 
 /// Coordinator -> daemon: post-execution feedback for the
@@ -200,84 +220,122 @@ struct ReselectionResponse {
 struct RecordTaskTime {
   std::string library_task;
   common::Duration elapsed_s = 0.0;
+
+  static auto fields(auto& m, auto&& v) {
+    return v(m.library_task, m.elapsed_s);
+  }
+};
+
+/// Coordinator -> daemon: exit cleanly (answered with an Ack).
+struct ShutdownRequest {
+  static auto fields(auto& /*m*/, auto&& v) { return v(); }
 };
 
 /// Daemon -> coordinator: RPC succeeded with no payload.
-struct Ack {};
+struct Ack {
+  static auto fields(auto& /*m*/, auto&& v) { return v(); }
+};
 
 /// Daemon -> coordinator: RPC failed; `what` carries the error text.
 struct ErrorReply {
   std::string what;
+
+  static auto fields(auto& m, auto&& v) { return v(m.what); }
 };
 
-// -- encoding ------------------------------------------------------------
+// -- the registry -------------------------------------------------------
 
-[[nodiscard]] std::vector<std::byte> encode(const MonitorReport& m);
-[[nodiscard]] std::vector<std::byte> encode(const WorkloadUpdate& m);
-[[nodiscard]] std::vector<std::byte> encode(const LivenessChange& m);
-[[nodiscard]] std::vector<std::byte> encode(const NetworkMeasurement& m);
-[[nodiscard]] std::vector<std::byte> encode(const RescheduleRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const Heartbeat& m);
-[[nodiscard]] std::vector<std::byte> encode(const TickRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const HostSelectionRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const HostSelectionResponse& m);
-[[nodiscard]] std::vector<std::byte> encode(const ReselectionRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const ReselectionResponse& m);
-[[nodiscard]] std::vector<std::byte> encode(const RecordTaskTime& m);
-[[nodiscard]] std::vector<std::byte> encode(const Ack&);
-[[nodiscard]] std::vector<std::byte> encode(const ErrorReply& m);
-[[nodiscard]] std::vector<std::byte> encode(const PeerDigest& m);
-[[nodiscard]] std::vector<std::byte> encode(const GossipPing& m);
-[[nodiscard]] std::vector<std::byte> encode(const GossipAck& m);
-[[nodiscard]] std::vector<std::byte> encode(const PingReq& m);
-[[nodiscard]] std::vector<std::byte> encode(const PingReqReply& m);
-[[nodiscard]] std::vector<std::byte> encode(const PeerRoster& m);
-[[nodiscard]] std::vector<std::byte> encode(const Refute& m);
-/// ShutdownRequest carries no payload; encoded directly.
-[[nodiscard]] std::vector<std::byte> encode_shutdown();
+/// Every control message, in MsgType order: a message's type byte is
+/// its 1-based position here.  encode, decode, peek_type and to_string
+/// all derive from this list, and the wire tests put every entry through
+/// round-trip, truncation, type-confusion and garbage fuzzing.
+/// Append-only: a new message goes at the end (with its MsgType).
+using Messages =
+    common::TypeList<MonitorReport, WorkloadUpdate, LivenessChange,
+                     NetworkMeasurement, RescheduleRequest, Heartbeat,
+                     TickRequest, HostSelectionRequest, HostSelectionResponse,
+                     ReselectionRequest, ReselectionResponse, RecordTaskTime,
+                     ShutdownRequest, Ack, ErrorReply, PeerDigest, GossipPing,
+                     GossipAck, PingReq, PingReqReply, PeerRoster, Refute>;
+
+template <typename T>
+concept Message = common::index_of<T>(Messages{}) < Messages::size;
+
+/// The type byte of message `T`.
+template <Message T>
+inline constexpr std::uint8_t kTypeByte =
+    static_cast<std::uint8_t>(common::index_of<T>(Messages{}) + 1);
+
+/// Message discriminator (third header byte), for callers that switch
+/// on peek_type().  Each value is its message's position in Messages.
+enum class MsgType : std::uint8_t {
+  kMonitorReport = kTypeByte<MonitorReport>,
+  kWorkloadUpdate = kTypeByte<WorkloadUpdate>,
+  kLivenessChange = kTypeByte<LivenessChange>,
+  kNetworkMeasurement = kTypeByte<NetworkMeasurement>,
+  kRescheduleRequest = kTypeByte<RescheduleRequest>,
+  kHeartbeat = kTypeByte<Heartbeat>,
+  // -- daemon RPCs ------------------------------------------------------
+  kTickRequest = kTypeByte<TickRequest>,
+  kHostSelectionRequest = kTypeByte<HostSelectionRequest>,
+  kHostSelectionResponse = kTypeByte<HostSelectionResponse>,
+  kReselectionRequest = kTypeByte<ReselectionRequest>,
+  kReselectionResponse = kTypeByte<ReselectionResponse>,
+  kRecordTaskTime = kTypeByte<RecordTaskTime>,
+  kShutdownRequest = kTypeByte<ShutdownRequest>,
+  kAck = kTypeByte<Ack>,
+  kErrorReply = kTypeByte<ErrorReply>,
+  // -- quorum liveness (D17) ---------------------------------------------
+  kPeerDigest = kTypeByte<PeerDigest>,
+  kGossipPing = kTypeByte<GossipPing>,
+  kGossipAck = kTypeByte<GossipAck>,
+  kPingReq = kTypeByte<PingReq>,
+  kPingReqReply = kTypeByte<PingReqReply>,
+  kPeerRoster = kTypeByte<PeerRoster>,
+  kRefute = kTypeByte<Refute>,
+};
+static_assert(static_cast<std::size_t>(MsgType::kRefute) == Messages::size,
+              "MsgType and Messages must name the same messages");
+
+template <Message T>
+inline constexpr MsgType type_of = static_cast<MsgType>(kTypeByte<T>);
+
+[[nodiscard]] const char* to_string(MsgType type);
+
+/// Validates the 3-byte header and returns the message type.  Throws
+/// ParseError on a short buffer, wrong magic, unknown version or a type
+/// byte outside Messages.
+[[nodiscard]] MsgType peek_type(std::span<const std::byte> frame);
+
+/// Checks the header and positions a reader at the payload.  The
+/// expected type guards against routing bugs: a frame handed to the
+/// wrong decoder fails loudly instead of misparsing.
+[[nodiscard]] common::WireReader payload_reader(
+    std::span<const std::byte> frame, MsgType expected);
+
+/// Encodes `m` as one frame: header, then its fields.
+template <Message T>
+[[nodiscard]] std::vector<std::byte> encode(const T& m) {
+  common::WireWriter w;
+  w.write_u8(kMagic);
+  w.write_u8(kVersion);
+  w.write_u8(kTypeByte<T>);
+  common::write(w, m);
+  return w.take();
+}
+
+/// Decodes a `T` frame; throws ParseError on a header or type mismatch
+/// and on a truncated or out-of-range payload.  Trailing bytes are
+/// ignored.
+template <Message T>
+[[nodiscard]] T decode(std::span<const std::byte> frame) {
+  common::WireReader r = payload_reader(frame, type_of<T>);
+  return common::read<T>(r);
+}
 
 /// Builds a ReselectionRequest from an AFG node (the coordinator-side
 /// convenience; the daemon reconstructs an equivalent node).
 [[nodiscard]] ReselectionRequest make_reselection_request(
     const afg::TaskNode& node, const std::vector<common::HostId>& excluded);
-
-// -- decoding ------------------------------------------------------------
-
-/// Validates the 3-byte header and returns the message type.  Throws
-/// ParseError on a short buffer, wrong magic, or unknown version.
-[[nodiscard]] MsgType peek_type(std::span<const std::byte> frame);
-
-[[nodiscard]] MonitorReport decode_monitor_report(
-    std::span<const std::byte> frame);
-[[nodiscard]] WorkloadUpdate decode_workload_update(
-    std::span<const std::byte> frame);
-[[nodiscard]] LivenessChange decode_liveness_change(
-    std::span<const std::byte> frame);
-[[nodiscard]] NetworkMeasurement decode_network_measurement(
-    std::span<const std::byte> frame);
-[[nodiscard]] RescheduleRequest decode_reschedule_request(
-    std::span<const std::byte> frame);
-[[nodiscard]] Heartbeat decode_heartbeat(std::span<const std::byte> frame);
-[[nodiscard]] TickRequest decode_tick_request(
-    std::span<const std::byte> frame);
-[[nodiscard]] HostSelectionRequest decode_host_selection_request(
-    std::span<const std::byte> frame);
-[[nodiscard]] HostSelectionResponse decode_host_selection_response(
-    std::span<const std::byte> frame);
-[[nodiscard]] ReselectionRequest decode_reselection_request(
-    std::span<const std::byte> frame);
-[[nodiscard]] ReselectionResponse decode_reselection_response(
-    std::span<const std::byte> frame);
-[[nodiscard]] RecordTaskTime decode_record_task_time(
-    std::span<const std::byte> frame);
-[[nodiscard]] ErrorReply decode_error_reply(std::span<const std::byte> frame);
-[[nodiscard]] PeerDigest decode_peer_digest(std::span<const std::byte> frame);
-[[nodiscard]] GossipPing decode_gossip_ping(std::span<const std::byte> frame);
-[[nodiscard]] GossipAck decode_gossip_ack(std::span<const std::byte> frame);
-[[nodiscard]] PingReq decode_ping_req(std::span<const std::byte> frame);
-[[nodiscard]] PingReqReply decode_ping_req_reply(
-    std::span<const std::byte> frame);
-[[nodiscard]] PeerRoster decode_peer_roster(std::span<const std::byte> frame);
-[[nodiscard]] Refute decode_refute(std::span<const std::byte> frame);
 
 }  // namespace vdce::rt::wire

@@ -39,6 +39,11 @@ struct HostSelection {
   std::vector<std::pair<Duration, HostId>> scored;
 
   [[nodiscard]] bool feasible() const { return !hosts.empty(); }
+
+  /// Wire layout (common/serialize.hpp field codec).
+  static auto fields(auto& m, auto&& v) {
+    return v(m.hosts, m.predicted_s, m.scored);
+  }
 };
 
 /// Host selection results for a whole AFG.

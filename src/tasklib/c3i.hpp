@@ -6,7 +6,8 @@
 // stages: sensor ingest -> detection -> track association -> track
 // filtering -> threat ranking.  The kernels are deterministic given the
 // inputs, which lets integration tests check end-to-end dataflow through
-// the VDCE runtime.
+// the VDCE runtime.  Each record lists its fields() in payload wire
+// order (tasklib/payload.cpp encodes them with common/serialize.hpp).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,9 @@ struct SensorReport {
   double time_s = 0.0;
 
   friend bool operator==(const SensorReport&, const SensorReport&) = default;
+  static auto fields(auto& m, auto&& v) {
+    return v(m.x, m.y, m.intensity, m.time_s);
+  }
 };
 
 /// A confirmed detection produced by thresholding.
@@ -35,6 +39,9 @@ struct Detection {
   double time_s = 0.0;
 
   friend bool operator==(const Detection&, const Detection&) = default;
+  static auto fields(auto& m, auto&& v) {
+    return v(m.x, m.y, m.strength, m.time_s);
+  }
 };
 
 /// A maintained track with an alpha-beta filter state.
@@ -51,6 +58,9 @@ struct Track {
   int hits = 0;
 
   friend bool operator==(const Track&, const Track&) = default;
+  static auto fields(auto& m, auto&& v) {
+    return v(m.id, m.x, m.y, m.vx, m.vy, m.last_update_s, m.misses, m.hits);
+  }
 };
 
 /// Scenario generator: targets moving on straight lines plus clutter.
@@ -115,6 +125,7 @@ struct Threat {
   double score = 0.0;
 
   friend bool operator==(const Threat&, const Threat&) = default;
+  static auto fields(auto& m, auto&& v) { return v(m.track_id, m.score); }
 };
 
 /// Ranks tracks by threat against a defended point: score combines

@@ -96,58 +96,26 @@ Payload Payload::of_complex_vector(const std::vector<Complex>& v) {
 Payload Payload::of_report_scans(
     const std::vector<std::vector<SensorReport>>& scans) {
   WireWriter w;
-  w.write_u32(static_cast<std::uint32_t>(scans.size()));
-  for (const auto& scan : scans) {
-    w.write_u32(static_cast<std::uint32_t>(scan.size()));
-    for (const SensorReport& r : scan) {
-      w.write_f64(r.x);
-      w.write_f64(r.y);
-      w.write_f64(r.intensity);
-      w.write_f64(r.time_s);
-    }
-  }
+  common::write(w, scans);
   return Payload(PayloadType::kReportScans, w.take());
 }
 
 Payload Payload::of_detection_scans(
     const std::vector<std::vector<Detection>>& scans) {
   WireWriter w;
-  w.write_u32(static_cast<std::uint32_t>(scans.size()));
-  for (const auto& scan : scans) {
-    w.write_u32(static_cast<std::uint32_t>(scan.size()));
-    for (const Detection& d : scan) {
-      w.write_f64(d.x);
-      w.write_f64(d.y);
-      w.write_f64(d.strength);
-      w.write_f64(d.time_s);
-    }
-  }
+  common::write(w, scans);
   return Payload(PayloadType::kDetectionScans, w.take());
 }
 
 Payload Payload::of_tracks(const std::vector<Track>& tracks) {
   WireWriter w;
-  w.write_u32(static_cast<std::uint32_t>(tracks.size()));
-  for (const Track& t : tracks) {
-    w.write_u32(t.id);
-    w.write_f64(t.x);
-    w.write_f64(t.y);
-    w.write_f64(t.vx);
-    w.write_f64(t.vy);
-    w.write_f64(t.last_update_s);
-    w.write_u32(static_cast<std::uint32_t>(t.misses));
-    w.write_u32(static_cast<std::uint32_t>(t.hits));
-  }
+  common::write(w, tracks);
   return Payload(PayloadType::kTracks, w.take());
 }
 
 Payload Payload::of_threats(const std::vector<Threat>& threats) {
   WireWriter w;
-  w.write_u32(static_cast<std::uint32_t>(threats.size()));
-  for (const Threat& t : threats) {
-    w.write_u32(t.track_id);
-    w.write_f64(t.score);
-  }
+  common::write(w, threats);
   return Payload(PayloadType::kThreats, w.take());
 }
 
@@ -235,83 +203,25 @@ std::vector<Complex> Payload::as_complex_vector() const {
 std::vector<std::vector<SensorReport>> Payload::as_report_scans() const {
   require(PayloadType::kReportScans);
   WireReader r(bytes_);
-  const std::uint32_t nscans = r.read_count(4);
-  std::vector<std::vector<SensorReport>> out;
-  out.reserve(nscans);
-  for (std::uint32_t s = 0; s < nscans; ++s) {
-    const std::uint32_t n = r.read_count(32);
-    std::vector<SensorReport> scan;
-    scan.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      SensorReport rep;
-      rep.x = r.read_f64();
-      rep.y = r.read_f64();
-      rep.intensity = r.read_f64();
-      rep.time_s = r.read_f64();
-      scan.push_back(rep);
-    }
-    out.push_back(std::move(scan));
-  }
-  return out;
+  return common::read<std::vector<std::vector<SensorReport>>>(r);
 }
 
 std::vector<std::vector<Detection>> Payload::as_detection_scans() const {
   require(PayloadType::kDetectionScans);
   WireReader r(bytes_);
-  const std::uint32_t nscans = r.read_count(4);
-  std::vector<std::vector<Detection>> out;
-  out.reserve(nscans);
-  for (std::uint32_t s = 0; s < nscans; ++s) {
-    const std::uint32_t n = r.read_count(32);
-    std::vector<Detection> scan;
-    scan.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Detection d;
-      d.x = r.read_f64();
-      d.y = r.read_f64();
-      d.strength = r.read_f64();
-      d.time_s = r.read_f64();
-      scan.push_back(d);
-    }
-    out.push_back(std::move(scan));
-  }
-  return out;
+  return common::read<std::vector<std::vector<Detection>>>(r);
 }
 
 std::vector<Track> Payload::as_tracks() const {
   require(PayloadType::kTracks);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_count(52);
-  std::vector<Track> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Track t;
-    t.id = r.read_u32();
-    t.x = r.read_f64();
-    t.y = r.read_f64();
-    t.vx = r.read_f64();
-    t.vy = r.read_f64();
-    t.last_update_s = r.read_f64();
-    t.misses = static_cast<int>(r.read_u32());
-    t.hits = static_cast<int>(r.read_u32());
-    out.push_back(t);
-  }
-  return out;
+  return common::read<std::vector<Track>>(r);
 }
 
 std::vector<Threat> Payload::as_threats() const {
   require(PayloadType::kThreats);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_count(12);
-  std::vector<Threat> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Threat t;
-    t.track_id = r.read_u32();
-    t.score = r.read_f64();
-    out.push_back(t);
-  }
-  return out;
+  return common::read<std::vector<Threat>>(r);
 }
 
 std::string Payload::as_text() const {

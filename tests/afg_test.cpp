@@ -392,6 +392,50 @@ TEST(AfgDot, ContainsNodesAndEdges) {
   EXPECT_NE(dot.find("synth_sink"), std::string::npos);
 }
 
+TEST(AfgText, OutOfRangeProcessorCountIsRejected) {
+  // 2^32 + 2 used to wrap around to 2 processors.
+  EXPECT_THROW((void)from_text("task a x mode=parallel procs=4294967298\n"),
+               ParseError);
+  const auto g = from_text("task a x mode=parallel procs=4294967295\n");
+  EXPECT_EQ(g.tasks().front().props.num_processors, 4294967295u);
+}
+
+// Property: seeded edits of a valid document either parse or throw a
+// VdceError -- no other exception, no crash.  AFG text arrives over the
+// wire in a HostSelectionRequest.
+TEST(AfgTextProperty, GarbageNeverEscapesVdceError) {
+  FlowGraph g("solver");
+  TaskProperties props;
+  props.mode = ComputeMode::kParallel;
+  props.num_processors = 2;
+  props.preferred_arch = repo::ArchType::kSparc;
+  props.preferred_os = repo::OsType::kSolaris;
+  props.input_size = 4.0;
+  const auto a = g.add_task("lu_decomposition", "lu1", props);
+  const auto b = g.add_task("matrix_inversion", "inv1");
+  g.add_link(a, b, 2.5);
+  const std::string text = to_text(g);
+  const std::string alphabet = "0123456789e.-+= \t\n#xnapfi";
+  common::Rng rng(556);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string edited = text;
+    for (auto n = 1 + rng.uniform_int(6); n > 0; --n) {
+      const std::size_t pos = rng.uniform_int(edited.size() + 1);
+      const char c = alphabet[rng.uniform_int(alphabet.size())];
+      switch (rng.uniform_int(3)) {
+        case 0: edited.insert(pos, 1, c); break;
+        case 1: if (pos < edited.size()) edited[pos] = c; break;
+        default: if (pos < edited.size()) edited.erase(pos, 1); break;
+      }
+    }
+    try {
+      (void)from_text(edited);
+    } catch (const common::VdceError&) {
+      // the only acceptable failure mode
+    }
+  }
+}
+
 // Property: text round trip preserves everything for random graphs.
 TEST(AfgTextProperty, RandomRoundTrip) {
   common::Rng rng(555);

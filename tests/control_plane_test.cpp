@@ -19,6 +19,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -156,7 +158,7 @@ TEST(WireFormat, MonitorReportRoundTripsBitIdentically) {
     const auto m = random_monitor_report(rng);
     const auto bytes = wire::encode(m);
     EXPECT_EQ(wire::peek_type(bytes), wire::MsgType::kMonitorReport);
-    const auto d = wire::decode_monitor_report(bytes);
+    const auto d = wire::decode<MonitorReport>(bytes);
     EXPECT_EQ(d.host, m.host);
     EXPECT_EQ(d.when, m.when);
     EXPECT_EQ(d.cpu_load, m.cpu_load);
@@ -170,7 +172,7 @@ TEST(WireFormat, WorkloadUpdateRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto u = random_workload_update(rng);
     const auto bytes = wire::encode(u);
-    const auto d = wire::decode_workload_update(bytes);
+    const auto d = wire::decode<WorkloadUpdate>(bytes);
     EXPECT_EQ(d.host, u.host);
     EXPECT_EQ(d.when, u.when);
     EXPECT_EQ(d.cpu_load, u.cpu_load);
@@ -184,7 +186,7 @@ TEST(WireFormat, LivenessChangeRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto c = random_liveness_change(rng);
     const auto bytes = wire::encode(c);
-    const auto d = wire::decode_liveness_change(bytes);
+    const auto d = wire::decode<LivenessChange>(bytes);
     EXPECT_EQ(d.host, c.host);
     EXPECT_EQ(d.when, c.when);
     EXPECT_EQ(d.alive, c.alive);
@@ -197,7 +199,7 @@ TEST(WireFormat, NetworkMeasurementRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto m = random_network_measurement(rng);
     const auto bytes = wire::encode(m);
-    const auto d = wire::decode_network_measurement(bytes);
+    const auto d = wire::decode<NetworkMeasurement>(bytes);
     EXPECT_EQ(d.group, m.group);
     EXPECT_EQ(d.when, m.when);
     EXPECT_EQ(d.latency_s, m.latency_s);
@@ -211,7 +213,7 @@ TEST(WireFormat, RescheduleRequestRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto r = random_reschedule_request(rng);
     const auto bytes = wire::encode(r);
-    const auto d = wire::decode_reschedule_request(bytes);
+    const auto d = wire::decode<RescheduleRequest>(bytes);
     EXPECT_EQ(d.app, r.app);
     EXPECT_EQ(d.task, r.task);
     EXPECT_EQ(d.host, r.host);
@@ -234,7 +236,7 @@ TEST(WireFormat, HeartbeatRoundTripsBitIdentically) {
     h.incarnation = static_cast<std::uint32_t>(1 + rng.uniform_int(5));
     h.gossip_port = static_cast<std::uint16_t>(rng.uniform_int(65536));
     const auto bytes = wire::encode(h);
-    const auto d = wire::decode_heartbeat(bytes);
+    const auto d = wire::decode<wire::Heartbeat>(bytes);
     EXPECT_EQ(d.site, h.site);
     EXPECT_EQ(d.pid, h.pid);
     EXPECT_EQ(d.seq, h.seq);
@@ -283,7 +285,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     const auto digest = random_peer_digest(rng);
     const auto digest_bytes = wire::encode(digest);
     EXPECT_EQ(wire::peek_type(digest_bytes), wire::MsgType::kPeerDigest);
-    const auto digest_d = wire::decode_peer_digest(digest_bytes);
+    const auto digest_d = wire::decode<wire::PeerDigest>(digest_bytes);
     EXPECT_EQ(digest_d.origin_site, digest.origin_site);
     EXPECT_EQ(digest_d.origin_incarnation, digest.origin_incarnation);
     ASSERT_EQ(digest_d.peers.size(), digest.peers.size());
@@ -299,7 +301,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     ping.origin_site = SiteId(static_cast<std::uint32_t>(rng.uniform_int(8)));
     ping.seq = rng.uniform_int(1 << 30);
     const auto ping_bytes = wire::encode(ping);
-    const auto ping_d = wire::decode_gossip_ping(ping_bytes);
+    const auto ping_d = wire::decode<wire::GossipPing>(ping_bytes);
     EXPECT_EQ(ping_d.origin_site, ping.origin_site);
     EXPECT_EQ(ping_d.seq, ping.seq);
     EXPECT_EQ(wire::encode(ping_d), ping_bytes);
@@ -309,7 +311,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     ack.incarnation = static_cast<std::uint32_t>(1 + rng.uniform_int(5));
     ack.seq = rng.uniform_int(1 << 30);
     const auto ack_bytes = wire::encode(ack);
-    const auto ack_d = wire::decode_gossip_ack(ack_bytes);
+    const auto ack_d = wire::decode<wire::GossipAck>(ack_bytes);
     EXPECT_EQ(ack_d.site, ack.site);
     EXPECT_EQ(ack_d.incarnation, ack.incarnation);
     EXPECT_EQ(ack_d.seq, ack.seq);
@@ -322,7 +324,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
         static_cast<std::uint16_t>(rng.uniform_int(65536));
     preq.seq = rng.uniform_int(1 << 30);
     const auto preq_bytes = wire::encode(preq);
-    const auto preq_d = wire::decode_ping_req(preq_bytes);
+    const auto preq_d = wire::decode<wire::PingReq>(preq_bytes);
     EXPECT_EQ(preq_d.origin_site, preq.origin_site);
     EXPECT_EQ(preq_d.target_site, preq.target_site);
     EXPECT_EQ(preq_d.target_gossip_port, preq.target_gossip_port);
@@ -335,7 +337,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     prep.target_incarnation = static_cast<std::uint32_t>(rng.uniform_int(5));
     prep.seq = rng.uniform_int(1 << 30);
     const auto prep_bytes = wire::encode(prep);
-    const auto prep_d = wire::decode_ping_req_reply(prep_bytes);
+    const auto prep_d = wire::decode<wire::PingReqReply>(prep_bytes);
     EXPECT_EQ(prep_d.target_site, prep.target_site);
     EXPECT_EQ(prep_d.reachable, prep.reachable);
     EXPECT_EQ(prep_d.target_incarnation, prep.target_incarnation);
@@ -344,7 +346,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
 
     const auto roster = random_peer_roster(rng);
     const auto roster_bytes = wire::encode(roster);
-    const auto roster_d = wire::decode_peer_roster(roster_bytes);
+    const auto roster_d = wire::decode<wire::PeerRoster>(roster_bytes);
     ASSERT_EQ(roster_d.peers.size(), roster.peers.size());
     for (std::size_t p = 0; p < roster.peers.size(); ++p) {
       EXPECT_EQ(roster_d.peers[p].site, roster.peers[p].site);
@@ -360,7 +362,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     refute.site = SiteId(static_cast<std::uint32_t>(rng.uniform_int(8)));
     refute.incarnation = static_cast<std::uint32_t>(1 + rng.uniform_int(5));
     const auto refute_bytes = wire::encode(refute);
-    const auto refute_d = wire::decode_refute(refute_bytes);
+    const auto refute_d = wire::decode<wire::Refute>(refute_bytes);
     EXPECT_EQ(refute_d.witness_site, refute.witness_site);
     EXPECT_EQ(refute_d.site, refute.site);
     EXPECT_EQ(refute_d.incarnation, refute.incarnation);
@@ -368,87 +370,22 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
   }
 }
 
-TEST(WireFormat, GossipMessagesRejectTruncationAtEveryPrefix) {
-  common::Rng rng(52);
-  // Variable-length messages.
-  auto digest = random_peer_digest(rng);
-  while (digest.peers.empty()) digest = random_peer_digest(rng);
-  const auto digest_bytes = wire::encode(digest);
-  for (std::size_t len = 3; len < digest_bytes.size(); ++len) {
-    const std::span<const std::byte> prefix(digest_bytes.data(), len);
-    EXPECT_THROW((void)wire::decode_peer_digest(prefix), ParseError)
-        << "digest prefix of " << len << " bytes accepted";
-  }
-  auto roster = random_peer_roster(rng);
-  while (roster.peers.empty()) roster = random_peer_roster(rng);
-  const auto roster_bytes = wire::encode(roster);
-  for (std::size_t len = 3; len < roster_bytes.size(); ++len) {
-    const std::span<const std::byte> prefix(roster_bytes.data(), len);
-    EXPECT_THROW((void)wire::decode_peer_roster(prefix), ParseError)
-        << "roster prefix of " << len << " bytes accepted";
-  }
-  // Fixed-length messages.
-  const auto ping_bytes = wire::encode(wire::GossipPing{SiteId(1), 7});
-  for (std::size_t len = 3; len < ping_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_gossip_ping(
-                     std::span<const std::byte>(ping_bytes.data(), len)),
-                 ParseError);
-  }
-  const auto ack_bytes = wire::encode(wire::GossipAck{SiteId(1), 2, 7});
-  for (std::size_t len = 3; len < ack_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_gossip_ack(
-                     std::span<const std::byte>(ack_bytes.data(), len)),
-                 ParseError);
-  }
-  const auto preq_bytes =
-      wire::encode(wire::PingReq{SiteId(1), SiteId(2), 4242, 7});
-  for (std::size_t len = 3; len < preq_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_ping_req(
-                     std::span<const std::byte>(preq_bytes.data(), len)),
-                 ParseError);
-  }
-  const auto prep_bytes =
-      wire::encode(wire::PingReqReply{SiteId(2), true, 3, 7});
-  for (std::size_t len = 3; len < prep_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_ping_req_reply(
-                     std::span<const std::byte>(prep_bytes.data(), len)),
-                 ParseError);
-  }
-  const auto refute_bytes =
-      wire::encode(wire::Refute{SiteId(1), SiteId(2), 3});
-  for (std::size_t len = 3; len < refute_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_refute(
-                     std::span<const std::byte>(refute_bytes.data(), len)),
-                 ParseError);
-  }
-}
-
-TEST(WireFormat, GossipMessagesRejectTypeMismatchedDecode) {
-  const auto bytes = wire::encode(wire::GossipPing{SiteId(1), 7});
-  EXPECT_THROW((void)wire::decode_peer_digest(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_gossip_ack(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_ping_req(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_ping_req_reply(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_peer_roster(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_refute(bytes), ParseError);
-  const auto ping = wire::encode(wire::PeerDigest{});
-  EXPECT_THROW((void)wire::decode_gossip_ping(ping), ParseError);
-}
-
 TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
   common::Rng rng(47);
   for (int i = 0; i < 30; ++i) {
     wire::TickRequest tick;
     tick.now = rng.uniform(0.0, 1e6);
-    EXPECT_EQ(wire::decode_tick_request(wire::encode(tick)).now, tick.now);
-    EXPECT_EQ(wire::encode(wire::decode_tick_request(wire::encode(tick))),
-              wire::encode(tick));
+    EXPECT_EQ(wire::decode<wire::TickRequest>(wire::encode(tick)).now,
+              tick.now);
+    EXPECT_EQ(
+        wire::encode(wire::decode<wire::TickRequest>(wire::encode(tick))),
+        wire::encode(tick));
 
     wire::HostSelectionRequest hs;
     hs.graph_text = "graph " + std::to_string(rng.uniform_int(1 << 20));
     hs.threads = static_cast<std::uint32_t>(1 + rng.uniform_int(8));
     const auto hs_bytes = wire::encode(hs);
-    const auto hs_d = wire::decode_host_selection_request(hs_bytes);
+    const auto hs_d = wire::decode<wire::HostSelectionRequest>(hs_bytes);
     EXPECT_EQ(hs_d.graph_text, hs.graph_text);
     EXPECT_EQ(hs_d.threads, hs.threads);
     EXPECT_EQ(wire::encode(hs_d), hs_bytes);
@@ -460,7 +397,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
           random_selection(rng);
     }
     const auto resp_bytes = wire::encode(resp);
-    const auto resp_d = wire::decode_host_selection_response(resp_bytes);
+    const auto resp_d = wire::decode<wire::HostSelectionResponse>(resp_bytes);
     expect_selection_map_eq(resp.selection, resp_d.selection);
     // Entries are encoded sorted by task id, so the re-encode is
     // bit-identical regardless of unordered_map iteration order.
@@ -479,7 +416,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
           HostId(static_cast<std::uint32_t>(rng.uniform_int(64))));
     }
     const auto rs_bytes = wire::encode(rs);
-    const auto rs_d = wire::decode_reselection_request(rs_bytes);
+    const auto rs_d = wire::decode<wire::ReselectionRequest>(rs_bytes);
     EXPECT_EQ(rs_d.task, rs.task);
     EXPECT_EQ(rs_d.library_task, rs.library_task);
     EXPECT_EQ(rs_d.label, rs.label);
@@ -492,7 +429,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
     wire::ReselectionResponse rr;
     rr.selection = random_selection(rng);
     const auto rr_bytes = wire::encode(rr);
-    const auto rr_d = wire::decode_reselection_response(rr_bytes);
+    const auto rr_d = wire::decode<wire::ReselectionResponse>(rr_bytes);
     expect_selection_eq(rr.selection, rr_d.selection);
     EXPECT_EQ(wire::encode(rr_d), rr_bytes);
 
@@ -500,7 +437,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
     rt.library_task = "task_" + std::to_string(rng.uniform_int(100));
     rt.elapsed_s = rng.uniform(0.0, 1e3);
     const auto rt_bytes = wire::encode(rt);
-    const auto rt_d = wire::decode_record_task_time(rt_bytes);
+    const auto rt_d = wire::decode<wire::RecordTaskTime>(rt_bytes);
     EXPECT_EQ(rt_d.library_task, rt.library_task);
     EXPECT_EQ(rt_d.elapsed_s, rt.elapsed_s);
     EXPECT_EQ(wire::encode(rt_d), rt_bytes);
@@ -508,11 +445,11 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
     wire::ErrorReply err;
     err.what = "error " + std::to_string(rng.uniform_int(1 << 20));
     const auto err_bytes = wire::encode(err);
-    EXPECT_EQ(wire::decode_error_reply(err_bytes).what, err.what);
+    EXPECT_EQ(wire::decode<wire::ErrorReply>(err_bytes).what, err.what);
   }
 
   EXPECT_EQ(wire::peek_type(wire::encode(wire::Ack{})), wire::MsgType::kAck);
-  EXPECT_EQ(wire::peek_type(wire::encode_shutdown()),
+  EXPECT_EQ(wire::peek_type(wire::encode(wire::ShutdownRequest{})),
             wire::MsgType::kShutdownRequest);
 }
 
@@ -533,7 +470,7 @@ TEST(WireFormat, RejectsWrongMagic) {
   bytes[0] = std::byte{0x00};
   EXPECT_THROW((void)wire::peek_type(bytes), ParseError);
   bytes[0] = std::byte{0xC8};
-  EXPECT_THROW((void)wire::decode_workload_update(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<WorkloadUpdate>(bytes), ParseError);
 }
 
 TEST(WireFormat, RejectsUnknownVersion) {
@@ -560,13 +497,13 @@ TEST(WireFormat, RejectsTruncationAtEveryPrefix) {
   ASSERT_GT(full.size(), 3u);
   for (std::size_t len = 3; len < full.size(); ++len) {
     const std::span<const std::byte> prefix(full.data(), len);
-    EXPECT_THROW((void)wire::decode_reschedule_request(prefix), ParseError)
+    EXPECT_THROW((void)wire::decode<RescheduleRequest>(prefix), ParseError)
         << "prefix of " << len << "/" << full.size() << " bytes accepted";
   }
   const auto fixed = wire::encode(random_network_measurement(rng));
   for (std::size_t len = 3; len < fixed.size(); ++len) {
     const std::span<const std::byte> prefix(fixed.data(), len);
-    EXPECT_THROW((void)wire::decode_network_measurement(prefix), ParseError);
+    EXPECT_THROW((void)wire::decode<NetworkMeasurement>(prefix), ParseError);
   }
 }
 
@@ -575,16 +512,9 @@ TEST(WireFormat, IgnoresTrailingBytesForForwardCompatibility) {
   const auto u = random_workload_update(rng);
   auto bytes = wire::encode(u);
   for (int i = 0; i < 7; ++i) bytes.push_back(std::byte{0xEE});
-  const auto d = wire::decode_workload_update(bytes);
+  const auto d = wire::decode<WorkloadUpdate>(bytes);
   EXPECT_EQ(d.host, u.host);
   EXPECT_EQ(d.cpu_load, u.cpu_load);
-}
-
-TEST(WireFormat, RejectsTypeMismatchedDecode) {
-  const auto bytes = wire::encode(WorkloadUpdate{});
-  EXPECT_THROW((void)wire::decode_liveness_change(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_heartbeat(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_tick_request(bytes), ParseError);
 }
 
 TEST(WireFormat, CorruptRescheduleKindNeverEscapesTheEnumRange) {
@@ -596,7 +526,7 @@ TEST(WireFormat, CorruptRescheduleKindNeverEscapesTheEnumRange) {
     auto corrupt = bytes;
     corrupt[pos] = std::byte{0xFF};
     try {
-      const auto d = wire::decode_reschedule_request(corrupt);
+      const auto d = wire::decode<RescheduleRequest>(corrupt);
       EXPECT_LE(static_cast<std::uint8_t>(d.kind), 2u);
     } catch (const ParseError&) {
       // rejection is equally acceptable
@@ -604,90 +534,254 @@ TEST(WireFormat, CorruptRescheduleKindNeverEscapesTheEnumRange) {
   }
 }
 
+/// Calls `f.template operator()<T>()` for every T in wire::Messages.
+template <typename F>
+void for_each_message(F&& f) {
+  [&]<typename... T>(common::TypeList<T...>) {
+    (f.template operator()<T>(), ...);
+  }(wire::Messages{});
+}
+
 TEST(WireFormat, GarbagePayloadsNeverEscapeParseError) {
-  // Fuzz: valid headers with random payloads must either decode or
-  // throw ParseError -- nothing else, and never crash.
+  // Fuzz: every message type's valid header with random payloads must
+  // either decode or throw ParseError -- nothing else, and never crash.
   common::Rng rng(50);
-  for (int i = 0; i < 300; ++i) {
-    std::vector<std::byte> bytes = {std::byte{wire::kMagic},
-                                    std::byte{wire::kVersion}};
-    const auto type = static_cast<std::uint8_t>(1 + rng.uniform_int(22));
-    bytes.push_back(std::byte{type});
-    const std::size_t len = rng.uniform_int(64);
-    for (std::size_t b = 0; b < len; ++b) {
-      bytes.push_back(
-          std::byte{static_cast<std::uint8_t>(rng.uniform_int(256))});
-    }
-    try {
-      switch (wire::peek_type(bytes)) {
-        case wire::MsgType::kMonitorReport:
-          (void)wire::decode_monitor_report(bytes);
-          break;
-        case wire::MsgType::kWorkloadUpdate:
-          (void)wire::decode_workload_update(bytes);
-          break;
-        case wire::MsgType::kLivenessChange:
-          (void)wire::decode_liveness_change(bytes);
-          break;
-        case wire::MsgType::kNetworkMeasurement:
-          (void)wire::decode_network_measurement(bytes);
-          break;
-        case wire::MsgType::kRescheduleRequest:
-          (void)wire::decode_reschedule_request(bytes);
-          break;
-        case wire::MsgType::kHeartbeat:
-          (void)wire::decode_heartbeat(bytes);
-          break;
-        case wire::MsgType::kTickRequest:
-          (void)wire::decode_tick_request(bytes);
-          break;
-        case wire::MsgType::kHostSelectionRequest:
-          (void)wire::decode_host_selection_request(bytes);
-          break;
-        case wire::MsgType::kHostSelectionResponse:
-          (void)wire::decode_host_selection_response(bytes);
-          break;
-        case wire::MsgType::kReselectionRequest:
-          (void)wire::decode_reselection_request(bytes);
-          break;
-        case wire::MsgType::kReselectionResponse:
-          (void)wire::decode_reselection_response(bytes);
-          break;
-        case wire::MsgType::kRecordTaskTime:
-          (void)wire::decode_record_task_time(bytes);
-          break;
-        case wire::MsgType::kErrorReply:
-          (void)wire::decode_error_reply(bytes);
-          break;
-        case wire::MsgType::kPeerDigest:
-          (void)wire::decode_peer_digest(bytes);
-          break;
-        case wire::MsgType::kGossipPing:
-          (void)wire::decode_gossip_ping(bytes);
-          break;
-        case wire::MsgType::kGossipAck:
-          (void)wire::decode_gossip_ack(bytes);
-          break;
-        case wire::MsgType::kPingReq:
-          (void)wire::decode_ping_req(bytes);
-          break;
-        case wire::MsgType::kPingReqReply:
-          (void)wire::decode_ping_req_reply(bytes);
-          break;
-        case wire::MsgType::kPeerRoster:
-          (void)wire::decode_peer_roster(bytes);
-          break;
-        case wire::MsgType::kRefute:
-          (void)wire::decode_refute(bytes);
-          break;
-        case wire::MsgType::kShutdownRequest:
-        case wire::MsgType::kAck:
-          break;
+  for_each_message([&]<typename T>() {
+    for (int i = 0; i < 40; ++i) {
+      std::vector<std::byte> bytes = {std::byte{wire::kMagic},
+                                      std::byte{wire::kVersion},
+                                      std::byte{wire::kTypeByte<T>}};
+      const std::size_t len = rng.uniform_int(64);
+      for (std::size_t b = 0; b < len; ++b) {
+        bytes.push_back(
+            std::byte{static_cast<std::uint8_t>(rng.uniform_int(256))});
       }
-    } catch (const ParseError&) {
-      // the only acceptable failure mode
+      try {
+        (void)wire::decode<T>(bytes);
+      } catch (const ParseError&) {
+        // the only acceptable failure mode
+      }
     }
+  });
+}
+
+// ------------------------------------------------- wire v1 golden bytes
+//
+// One fixed instance of every message type with the exact frame wire v1
+// gives it, vectors, strings and maps non-empty.  Any codec change that
+// moves a single byte fails here.
+
+std::string hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out.push_back(kDigits[static_cast<std::uint8_t>(b) >> 4]);
+    out.push_back(kDigits[static_cast<std::uint8_t>(b) & 0xF]);
   }
+  return out;
+}
+
+sched::HostSelection golden_selection(std::vector<HostId> hosts,
+                                      double predicted_s) {
+  sched::HostSelection s;
+  s.hosts = hosts;
+  s.predicted_s = predicted_s;
+  for (const HostId h : hosts) {
+    s.scored.emplace_back(predicted_s + h.value() * 0.25, h);
+  }
+  return s;
+}
+
+/// (encoded instance, its wire v1 bytes in hex), in MsgType order.
+std::vector<std::pair<std::vector<std::byte>, std::string>> golden_frames() {
+  wire::HostSelectionResponse response;
+  response.selection[TaskId(2)] =
+      golden_selection({HostId(3), HostId(4)}, 1.25);
+  response.selection[TaskId(1)] = golden_selection({HostId(5)}, 2.0);
+  return {
+      {wire::encode(MonitorReport{HostId(7), 12.5, 0.75, 2048.0}),
+       "c701010000000740290000000000003fe800000000000040a0000000"
+       "000000"},
+      {wire::encode(WorkloadUpdate{HostId(8), 13.25, 1.5, 1024.0}),
+       "c7010200000008402a8000000000003ff80000000000004090000000"
+       "000000"},
+      {wire::encode(LivenessChange{HostId(9), 14.0, true}),
+       "c7010300000009402c00000000000001"},
+      {wire::encode(NetworkMeasurement{GroupId(2), 15.5, 0.002, 12.5}),
+       "c7010400000002402f0000000000003f60624dd2f1a9fc4029000000"
+       "000000"},
+      {wire::encode(RescheduleRequest{AppId(3), TaskId(4), HostId(5), 16.0,
+                                      0.9,
+                                      RescheduleRequest::Kind::kHostFailure,
+                                      "host down"}),
+       "c7010500000003000000040000000540300000000000003feccccccc"
+       "cccccd0100000009686f737420646f776e"},
+      {wire::encode(wire::Heartbeat{SiteId(1), 4242, 99, 5000, 3, 5001}),
+       "c7010600000001000000000000109200000000000000631388000000"
+       "031389"},
+      {wire::encode(wire::TickRequest{17.5}), "c701074031800000000000"},
+      {wire::encode(wire::HostSelectionRequest{
+           "app demo\ntask a synth_source\n", 4}),
+       "c701080000001d6170702064656d6f0a7461736b20612073796e7468"
+       "5f736f757263650a00000004"},
+      {wire::encode(response),
+       "c7010900000002000000010000000100000005400000000000000000"
+       "000001400a0000000000000000000500000002000000020000000300"
+       "0000043ff40000000000000000000240000000000000000000000340"
+       "0200000000000000000004"},
+      {wire::encode(wire::ReselectionRequest{TaskId(6), "lu_decomposition",
+                                             "lu1", 2.0, 2, true,
+                                             {HostId(1), HostId(3)}}),
+       "c7010a00000006000000106c755f6465636f6d706f736974696f6e00"
+       "0000036c753140000000000000000000000201000000020000000100"
+       "000003"},
+      {wire::encode(wire::ReselectionResponse{
+           golden_selection({HostId(2), HostId(6)}, 0.5)}),
+       "c7010b0000000200000002000000063fe0000000000000000000023f"
+       "f000000000000000000002400000000000000000000006"},
+      {wire::encode(wire::RecordTaskTime{"fft", 0.125}),
+       "c7010c000000036666743fc0000000000000"},
+      {wire::encode(wire::ShutdownRequest{}), "c7010d"},
+      {wire::encode(wire::Ack{}), "c7010e"},
+      {wire::encode(wire::ErrorReply{"no such task"}),
+       "c7010f0000000c6e6f2073756368207461736b"},
+      {wire::encode(wire::PeerDigest{
+           SiteId(2), 3,
+           {{SiteId(0), 1, 0.5, true}, {SiteId(1), 2, 4.0, false}}}),
+       "c7011000000002000000030000000200000000000000013fe0000000"
+       "000000010000000100000002401000000000000000"},
+      {wire::encode(wire::GossipPing{SiteId(1), 77}),
+       "c7011100000001000000000000004d"},
+      {wire::encode(wire::GossipAck{SiteId(2), 3, 77}),
+       "c701120000000200000003000000000000004d"},
+      {wire::encode(wire::PingReq{SiteId(0), SiteId(2), 6001, 78}),
+       "c7011300000000000000021771000000000000004e"},
+      {wire::encode(wire::PingReqReply{SiteId(2), true, 3, 78}),
+       "c70114000000020100000003000000000000004e"},
+      {wire::encode(wire::PeerRoster{
+           {{SiteId(0), 6000, 1, false}, {SiteId(2), 6002, 3, true}}}),
+       "c7011500000002000000001770000000010000000002177200000003"
+       "01"},
+      {wire::encode(wire::Refute{SiteId(1), SiteId(2), 3}),
+       "c70116000000010000000200000003"},
+  };
+}
+
+TEST(WireGolden, EveryMessageTypeEncodesToItsV1Bytes) {
+  const auto frames = golden_frames();
+  ASSERT_EQ(frames.size(), 22u);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& [frame, expected] = frames[i];
+    EXPECT_EQ(static_cast<std::size_t>(wire::peek_type(frame)), i + 1);
+    EXPECT_EQ(hex(frame), expected)
+        << wire::to_string(wire::peek_type(frame));
+  }
+}
+
+// ------------------------------------------ every message in the list
+//
+// Typed over wire::Messages: a message joins every test below by being
+// appended to the list.  Instances are random and non-empty -- each
+// string, vector and map holds at least one element -- and are built
+// from the same fields() lists the codec walks.
+
+template <typename T>
+void randomize(common::Rng& rng, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = rng.bernoulli(0.5);
+  } else if constexpr (std::is_enum_v<T>) {
+    v = static_cast<T>(
+        rng.uniform_int(static_cast<std::uint64_t>(enum_max(T{})) + 1));
+  } else if constexpr (std::is_integral_v<T>) {
+    v = static_cast<T>(rng.uniform_int(std::uint64_t{1} << 40));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = rng.uniform(-1e6, 1e6);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v.assign(1 + rng.uniform_int(12), 'a');
+    for (char& c : v) c = static_cast<char>('a' + rng.uniform_int(26));
+  } else if constexpr (common::detail::kIsId<T>) {
+    v = T(static_cast<std::uint32_t>(rng.uniform_int(1 << 16)));
+  } else if constexpr (common::detail::kIsPair<T>) {
+    randomize(rng, v.first);
+    randomize(rng, v.second);
+  } else if constexpr (common::detail::kIsVector<T>) {
+    v.resize(1 + rng.uniform_int(4));
+    for (auto& e : v) randomize(rng, e);
+  } else if constexpr (common::detail::kIsMap<T>) {
+    const std::size_t n = 1 + rng.uniform_int(4);
+    while (v.size() < n) {
+      std::pair<typename T::key_type, typename T::mapped_type> e;
+      randomize(rng, e);
+      v.insert(std::move(e));
+    }
+  } else {
+    T::fields(v, [&rng](auto&... f) { (randomize(rng, f), ...); });
+  }
+}
+
+template <typename T>
+T random_message(common::Rng& rng) {
+  T m{};
+  randomize(rng, m);
+  return m;
+}
+
+template <typename List>
+struct GTestTypes;
+template <typename... T>
+struct GTestTypes<common::TypeList<T...>> {
+  using type = ::testing::Types<T...>;
+};
+
+struct MessageName {
+  template <typename T>
+  static std::string GetName(int) {
+    return wire::to_string(wire::type_of<T>);
+  }
+};
+
+template <typename T>
+class WireMessage : public ::testing::Test {};
+TYPED_TEST_SUITE(WireMessage, GTestTypes<wire::Messages>::type, MessageName);
+
+TYPED_TEST(WireMessage, RoundTripsBitIdentically) {
+  common::Rng rng(60 + wire::kTypeByte<TypeParam>);
+  for (int i = 0; i < 30; ++i) {
+    const auto bytes = wire::encode(random_message<TypeParam>(rng));
+    EXPECT_EQ(wire::peek_type(bytes), wire::type_of<TypeParam>);
+    EXPECT_EQ(wire::encode(wire::decode<TypeParam>(bytes)), bytes);
+  }
+  const auto empty = wire::encode(TypeParam{});
+  EXPECT_EQ(wire::encode(wire::decode<TypeParam>(empty)), empty);
+}
+
+TYPED_TEST(WireMessage, DecodesItsGoldenFrame) {
+  const auto frames = golden_frames();
+  const auto& golden = frames[wire::kTypeByte<TypeParam> - 1].first;
+  EXPECT_EQ(wire::encode(wire::decode<TypeParam>(golden)), golden);
+}
+
+TYPED_TEST(WireMessage, RejectsTruncationAtEveryPrefix) {
+  common::Rng rng(90 + wire::kTypeByte<TypeParam>);
+  const auto bytes = wire::encode(random_message<TypeParam>(rng));
+  for (std::size_t len = 3; len < bytes.size(); ++len) {
+    const std::span<const std::byte> prefix(bytes.data(), len);
+    EXPECT_THROW((void)wire::decode<TypeParam>(prefix), ParseError)
+        << "prefix of " << len << "/" << bytes.size() << " bytes accepted";
+  }
+}
+
+TYPED_TEST(WireMessage, RejectsEveryOtherMessageType) {
+  common::Rng rng(120 + wire::kTypeByte<TypeParam>);
+  for_each_message([&]<typename U>() {
+    if constexpr (!std::is_same_v<U, TypeParam>) {
+      for (const auto& frame :
+           {wire::encode(U{}), wire::encode(random_message<U>(rng))}) {
+        EXPECT_THROW((void)wire::decode<TypeParam>(frame), ParseError)
+            << "decoded a " << wire::to_string(wire::type_of<U>) << " frame";
+      }
+    }
+  });
 }
 
 // ------------------------------------------------- transport dispatching
@@ -745,8 +839,9 @@ TEST(ControlDispatch, RejectsRpcMessagesOnControlChannel) {
   RecordingSink sink;
   EXPECT_THROW(dispatch_control_frame(wire::encode(wire::TickRequest{}), sink),
                ParseError);
-  EXPECT_THROW(dispatch_control_frame(wire::encode_shutdown(), sink),
-               ParseError);
+  EXPECT_THROW(
+      dispatch_control_frame(wire::encode(wire::ShutdownRequest{}), sink),
+      ParseError);
 }
 
 TEST(ControlTransport, LoopbackDispatchesSynchronouslyAndCounts) {
@@ -991,6 +1086,21 @@ TEST(SiteDaemon, RemoteSelectionMatchesInProcessManager) {
   const std::vector<HostId> excluded = {local_sel.hosts.front()};
   expect_selection_eq(client.host_reselection(first, excluded),
                       local.manager->reschedule_request(first, excluded));
+}
+
+TEST(SiteDaemon, RejectsAReselectionOfAParallelTaskOnZeroProcessors) {
+  // The node crosses the wire unchecked; host selection would pick
+  // "the first 0 hosts" and index before the start of its ranking.
+  Watchdog watchdog(test_watchdog_config());
+  watchdog.spawn(SiteId(0));
+  daemon::DaemonClient client(watchdog.rpc_port(SiteId(0)));
+  afg::TaskNode node = sim::make_linear_solver_graph().task(TaskId(0));
+  node.props.mode = afg::ComputeMode::kParallel;
+  node.props.num_processors = 0;
+  EXPECT_THROW((void)client.host_reselection(node, {}), common::StateError);
+  // The session survives the ErrorReply.
+  node.props.num_processors = 1;
+  EXPECT_TRUE(client.host_reselection(node, {}).feasible());
 }
 
 TEST(SiteDaemon, WatchdogRestartsSigkilledDaemonAndClientReattaches) {

@@ -6,8 +6,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "repository/repository.hpp"
 
 namespace vdce::repo {
@@ -378,6 +384,86 @@ TEST_F(RepositoryPersistence, MalformedRowThrows) {
   }
   SiteRepository loaded(SiteId(0));
   EXPECT_THROW(loaded.load(dir_), common::ParseError);
+}
+
+// A saved repository with one row in each of the four files.
+void save_sample(const std::filesystem::path& dir) {
+  SiteRepository repo(SiteId(3));
+  repo.users().add_user("alice", "pw", 2, "wan");
+  const auto host =
+      repo.resources().register_host(host_attrs("h1", SiteId(3)));
+  repo.tasks().register_task(task_rec("fft", 0.3));
+  repo.tasks().set_power_weight("fft", host, 1.75);
+  repo.tasks().record_measurement("fft", 0.31);
+  repo.constraints().set_location("fft", host, "bin/fft");
+  repo.save(dir);
+}
+
+std::string read_file(const std::filesystem::path& p) {
+  std::ifstream in(p);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::filesystem::path& p, const std::string& text) {
+  std::ofstream(p) << text;
+}
+
+TEST_F(RepositoryPersistence, OutOfRangeIdsAreRejected) {
+  // Each 32-bit id column, set to 2^32 + 2 (which used to wrap to 2).
+  const std::vector<std::pair<std::string, std::size_t>> columns = {
+      {"users.db", 3},     {"resources.db", 1}, {"resources.db", 7},
+      {"resources.db", 8}, {"tasks.db", 2},     {"constraints.db", 1}};
+  for (const auto& [file, column] : columns) {
+    save_sample(dir_);
+    std::string text;
+    for (const auto& line : common::split(read_file(dir_ / file), '\n')) {
+      if (line.empty()) continue;
+      auto fields = common::split(line, '\t');
+      // tasks.db: only a hostweight row has a host id in column 2.
+      if (fields[0] != "task" && column < fields.size()) {
+        fields[column] = "4294967298";
+      }
+      text += common::join(fields, "\t") + "\n";
+    }
+    write_file(dir_ / file, text);
+    SiteRepository loaded(SiteId(3));
+    EXPECT_THROW(loaded.load(dir_), common::ParseError)
+        << file << " column " << column;
+  }
+}
+
+// Seeded edits of a saved repository either load or throw a VdceError
+// -- no other exception, no crash.
+TEST_F(RepositoryPersistence, GarbageNeverEscapesVdceError) {
+  save_sample(dir_);
+  const std::vector<std::string> files = {"users.db", "resources.db",
+                                          "tasks.db", "constraints.db"};
+  std::vector<std::string> originals;
+  for (const auto& f : files) originals.push_back(read_file(dir_ / f));
+  const std::string alphabet = "0123456789e.-+ \t\nhostaskw";
+  common::Rng rng(557);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t which = rng.uniform_int(files.size());
+    std::string edited = originals[which];
+    for (auto n = 1 + rng.uniform_int(6); n > 0; --n) {
+      const std::size_t pos = rng.uniform_int(edited.size() + 1);
+      const char c = alphabet[rng.uniform_int(alphabet.size())];
+      switch (rng.uniform_int(3)) {
+        case 0: edited.insert(pos, 1, c); break;
+        case 1: if (pos < edited.size()) edited[pos] = c; break;
+        default: if (pos < edited.size()) edited.erase(pos, 1); break;
+      }
+    }
+    write_file(dir_ / files[which], edited);
+    try {
+      SiteRepository loaded(SiteId(3));
+      loaded.load(dir_);
+    } catch (const common::VdceError&) {
+      // the only acceptable failure mode
+    }
+    write_file(dir_ / files[which], originals[which]);
+  }
 }
 
 TEST_F(RepositoryPersistence, EmptyRepositoryRoundTrip) {

@@ -780,6 +780,43 @@ TEST(GoldenDigest, PayloadWireBytes) {
   EXPECT_EQ(h, 0xadfaf085cdbdc050ull) << std::hex << h;
 }
 
+// The four C3I record payloads, pinned byte for byte.
+std::string hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out.push_back(kDigits[static_cast<std::uint8_t>(b) >> 4]);
+    out.push_back(kDigits[static_cast<std::uint8_t>(b) & 0xF]);
+  }
+  return out;
+}
+
+TEST(GoldenBytes, C3iPayloadWireBytes) {
+  const std::vector<std::vector<SensorReport>> reports{
+      {{1.5, -2.0, 3.25, 0.5}}, {}, {{4.0, 5.0, 6.0, 1.0}, {7, 8, 9, 1}}};
+  EXPECT_EQ(hex(Payload::of_report_scans(reports).to_wire()),
+            "0600000003000000013ff8000000000000c000000000000000400a0000000000"
+            "003fe00000000000000000000000000002401000000000000040140000000000"
+            "0040180000000000003ff0000000000000401c00000000000040200000000000"
+            "0040220000000000003ff0000000000000");
+  const std::vector<std::vector<Detection>> detections{
+      {}, {{10.0, 20.0, 0.75, 2.0}, {-1.0, 0.5, 1.25, 2.0}}};
+  EXPECT_EQ(hex(Payload::of_detection_scans(detections).to_wire()),
+            "07000000020000000000000002402400000000000040340000000000003fe800"
+            "00000000004000000000000000bff00000000000003fe00000000000003ff400"
+            "00000000004000000000000000");
+  const std::vector<Track> tracks{{7, 1.0, 2.0, 0.25, -0.5, 3.0, 1, 9},
+                                  {9, -4.0, 8.0, 0.0, 1.5, 3.5, 0, 2}};
+  EXPECT_EQ(hex(Payload::of_tracks(tracks).to_wire()),
+            "0800000002000000073ff000000000000040000000000000003fd00000000000"
+            "00bfe00000000000004008000000000000000000010000000900000009c01000"
+            "0000000000402000000000000000000000000000003ff8000000000000400c00"
+            "00000000000000000000000002");
+  const std::vector<Threat> threats{{9, 0.875}, {7, 0.125}};
+  EXPECT_EQ(hex(Payload::of_threats(threats).to_wire()),
+            "0900000002000000093fec000000000000000000073fc0000000000000");
+}
+
 // Eight threads first-touch the same FFT size, FIR shape and source
 // window length at once (none of them used anywhere else in this
 // binary); every thread must see the same bits as a serial run.
