@@ -77,6 +77,21 @@ std::uint32_t parse_u32(std::string_view s, std::string_view context) {
   return static_cast<std::uint32_t>(v);
 }
 
+std::int32_t parse_i32(std::string_view s, std::string_view context) {
+  s = trim(s);
+  std::int32_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc::result_out_of_range) {
+    throw ParseError("value out of 32-bit range in " + std::string(context) +
+                     ": '" + std::string(s) + "'");
+  }
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    throw ParseError("expected integer in " + std::string(context) + ": '" +
+                     std::string(s) + "'");
+  }
+  return v;
+}
+
 std::string join(const std::vector<std::string>& parts,
                  std::string_view sep) {
   std::string out;

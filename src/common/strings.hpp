@@ -35,6 +35,11 @@ namespace vdce::common {
 [[nodiscard]] std::uint32_t parse_u32(std::string_view s,
                                       std::string_view context);
 
+/// Parses a signed 32-bit integer (priorities); throws ParseError when
+/// `s` is not an integer or does not fit, instead of casting it.
+[[nodiscard]] std::int32_t parse_i32(std::string_view s,
+                                     std::string_view context);
+
 /// Joins strings with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -140,15 +141,25 @@ struct FramePoolStats {
 };
 
 /// Slab allocator with power-of-two size classes and per-class free
-/// lists.  Thread-safe; allocation takes one short lock, release of a
-/// pooled slab takes the same lock, release of a bypass slab takes
-/// none.
+/// lists.  Thread-safe.  The shared free lists sit behind one short
+/// lock.  The global() pool also gives every thread a bounded cache of
+/// free small slabs: its allocate/release fast path touches only that
+/// thread's cache -- no lock, no shared atomic -- and the cache trades
+/// slabs with the shared lists in batches (DESIGN.md D13).
 class FramePool {
  public:
   /// Smallest slab handed out; sub-256B frames share this class.
   static constexpr std::size_t kMinSlabBytes = 256;
   /// Free slabs retained per size class; excess is heap-freed.
   static constexpr std::size_t kMaxFreePerClass = 8;
+  /// Largest slab a thread cache holds; bigger frames (bulk vectors)
+  /// always go through the shared free lists.
+  static constexpr std::size_t kMaxCachedSlabBytes = 4 * 1024;
+  /// Free slabs one thread cache holds per size class.
+  static constexpr std::size_t kThreadCacheSlots = 8;
+  /// Slabs a thread cache takes from, or gives back to, the shared free
+  /// lists under one lock.
+  static constexpr std::size_t kThreadCacheBatch = 4;
 
   FramePool();
   ~FramePool();
@@ -164,27 +175,62 @@ class FramePool {
   /// the slab alive).
   [[nodiscard]] FrameView copy_of(std::span<const std::byte> bytes);
 
+  /// Exact whenever no thread is mid-operation.  Slabs in thread caches
+  /// count as free.  high_water_bytes is exact for one thread; with
+  /// several, a peak reached between two batch transfers can be off by
+  /// up to what the thread caches hold.
   [[nodiscard]] FramePoolStats stats() const;
 
-  /// Drops every parked free slab (test support).
+  /// Drops every parked free slab: the shared free lists and the
+  /// calling thread's cache (test support).
   void trim();
 
-  /// The process-wide pool.  Intentionally leaked: frames may be
-  /// released from detached threads during process teardown, after
-  /// static destructors would have run.
+  /// The process-wide pool, the only one with thread caches.
+  /// Intentionally leaked: frames may be released from detached threads
+  /// during process teardown, after static destructors would have run.
   [[nodiscard]] static FramePool& global();
 
  private:
   friend void detail::release(detail::Slab* slab) noexcept;
+  struct ThreadCache;
+
+  static constexpr std::size_t kCachedClasses =
+      std::bit_width(kMaxCachedSlabBytes / kMinSlabBytes);
 
   [[nodiscard]] static std::size_t class_capacity(std::size_t size);
+  [[nodiscard]] static std::size_t size_class(std::size_t capacity);
+  /// The calling thread's cache when `cls` is cached by this pool;
+  /// nullptr otherwise, and once the thread's cache is retired.
+  [[nodiscard]] ThreadCache* cache_for(std::size_t cls);
+  void register_cache(ThreadCache& cache);
+  [[nodiscard]] detail::Slab* allocate_locked(std::size_t cls,
+                                              std::size_t capacity,
+                                              ThreadCache* cache);
   void recycle(detail::Slab* slab);
-  void note_in_use_locked(std::size_t capacity);
+  /// Moves the cache's slabs of `cls` from index `from` up to the shared
+  /// free list, appending what does not fit to `excess`.
+  void give_back_locked(ThreadCache& cache, std::size_t cls,
+                        std::size_t from, std::vector<detail::Slab*>& excess);
+  /// Returns every cached slab and folds the cache's counters into the
+  /// pool (thread exit).
+  void retire(ThreadCache& cache);
+  [[nodiscard]] std::int64_t in_use_locked() const;
+  /// Exact in-use recount: raises the high-water mark and refreshes the
+  /// gauges; given a cache, also refreshes its view of the other
+  /// threads' use and publishes its hits to the registry.
+  void sync_locked(ThreadCache* cache);
 
+  bool thread_caches_ = false;  // set once, by global()
   mutable std::mutex mu_;
   // free_[c] parks slabs of capacity kMinSlabBytes << c.
   std::vector<std::vector<detail::Slab*>> free_;
-  FramePoolStats stats_;
+  // Live thread caches, registered on a thread's first use of the pool.
+  std::vector<ThreadCache*> caches_;
+  // Bytes on loan through the shared path and from retired caches; a
+  // live cache keeps its own count (either may be negative: a slab can
+  // be taken on one thread and released on another).
+  std::int64_t in_use_ = 0;
+  FramePoolStats stats_;  // bytes_in_use unused: see in_use_
 };
 
 }  // namespace vdce::dm

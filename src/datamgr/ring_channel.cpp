@@ -9,6 +9,20 @@
 
 namespace vdce::dm {
 
+namespace {
+
+using SteadyClock = std::chrono::steady_clock;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
 RingChannel::RingChannel(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       slots_(std::make_unique<FrameView[]>(capacity == 0 ? 1 : capacity)) {}
@@ -17,27 +31,57 @@ RingChannel::~RingChannel() = default;
 
 void RingChannel::push_locked(FrameView&& frame) {
   bytes_sent_ += frame.size();
-  slots_[(head_ + count_) % capacity_] = std::move(frame);
-  ++count_;
+  const std::size_t count = count_.load(std::memory_order_relaxed);
+  slots_[(head_ + count) % capacity_] = std::move(frame);
+  count_.store(count + 1, std::memory_order_relaxed);
   ++stats_.frames_pushed;
-  if (count_ > stats_.high_water) stats_.high_water = count_;
+  if (count + 1 > stats_.high_water) stats_.high_water = count + 1;
 }
 
 FrameView RingChannel::take_locked() {
   FrameView out = std::move(slots_[head_]);
   slots_[head_].reset();
   head_ = (head_ + 1) % capacity_;
-  --count_;
+  count_.store(count_.load(std::memory_order_relaxed) - 1,
+               std::memory_order_relaxed);
   ++stats_.frames_popped;
   return out;
 }
 
-void RingChannel::push(FrameView frame) {
-  std::unique_lock lk(mu_);
-  if (count_ == capacity_ && !aborted_) {
-    ++stats_.producer_parks;
-    not_full_.wait(lk, [&] { return count_ < capacity_ || aborted_; });
+template <typename Ready>
+bool RingChannel::await(std::unique_lock<std::mutex>& lk,
+                        std::condition_variable& cv, std::size_t& parked,
+                        std::uint64_t& parks, Ready ready,
+                        const SteadyClock::time_point* deadline) {
+  if (ready()) return true;
+  lk.unlock();
+  const auto spin_end = SteadyClock::now() + kSpinBeforePark;
+  do {
+    cpu_relax();
+  } while (!ready() && SteadyClock::now() < spin_end);
+  lk.lock();
+  if (ready()) return true;
+  if (deadline != nullptr && SteadyClock::now() >= *deadline) return false;
+  ++parks;
+  ++parked;
+  bool ok = true;
+  if (deadline != nullptr) {
+    ok = cv.wait_until(lk, *deadline, ready);
+  } else {
+    cv.wait(lk, ready);
   }
+  --parked;
+  return ok;
+}
+
+void RingChannel::push(FrameView frame) {
+  const auto room = [this] {
+    return count_.load(std::memory_order_relaxed) < capacity_ ||
+           aborted_.load(std::memory_order_relaxed);
+  };
+  std::unique_lock lk(mu_);
+  (void)await(lk, not_full_, producers_parked_, stats_.producer_parks, room,
+              nullptr);
   if (aborted_) {
     throw common::TransportError("push on an aborted ring channel");
   }
@@ -45,11 +89,13 @@ void RingChannel::push(FrameView frame) {
     throw common::TransportError("push after ring channel end-of-stream");
   }
   push_locked(std::move(frame));
+  const bool wake = consumers_parked_ > 0;
   lk.unlock();
-  not_empty_.notify_one();
+  if (wake) not_empty_.notify_one();
 }
 
 bool RingChannel::try_push(FrameView frame) {
+  bool wake = false;
   {
     std::lock_guard lk(mu_);
     if (aborted_) {
@@ -60,53 +106,46 @@ bool RingChannel::try_push(FrameView frame) {
     }
     if (count_ == capacity_) return false;
     push_locked(std::move(frame));
+    wake = consumers_parked_ > 0;
   }
-  not_empty_.notify_one();
+  if (wake) not_empty_.notify_one();
   return true;
 }
 
-std::optional<FrameView> RingChannel::pop() {
+std::optional<FrameView> RingChannel::pop() { return pop_for(0.0); }
+
+std::optional<FrameView> RingChannel::pop_for(double timeout_s) {
+  SteadyClock::time_point deadline;
+  if (timeout_s > 0.0) {
+    deadline = SteadyClock::now() +
+               std::chrono::duration_cast<SteadyClock::duration>(
+                   std::chrono::duration<double>(timeout_s));
+  }
+  const auto frame_or_end = [this] {
+    return count_.load(std::memory_order_relaxed) > 0 ||
+           eos_.load(std::memory_order_relaxed) ||
+           aborted_.load(std::memory_order_relaxed);
+  };
   std::optional<FrameView> out;
+  bool wake = false;
   {
     std::unique_lock lk(mu_);
-    if (count_ == 0 && !eos_ && !aborted_) {
-      ++stats_.consumer_parks;
-      not_empty_.wait(lk, [&] { return count_ > 0 || eos_ || aborted_; });
+    if (!await(lk, not_empty_, consumers_parked_, stats_.consumer_parks,
+               frame_or_end, timeout_s > 0.0 ? &deadline : nullptr)) {
+      common::MetricsRegistry::global()
+          .counter("datamgr.deadline_expiries")
+          .add(1);
+      throw common::TransportError("ring channel pop timed out after " +
+                                   std::to_string(timeout_s) + "s");
     }
     if (aborted_) {
       throw common::TransportError("pop on an aborted ring channel");
     }
     if (count_ == 0) return std::nullopt;  // clean EOS, drained
     out = take_locked();
+    wake = producers_parked_ > 0;
   }
-  not_full_.notify_one();
-  return out;
-}
-
-std::optional<FrameView> RingChannel::pop_for(double timeout_s) {
-  if (timeout_s <= 0.0) return pop();
-  std::optional<FrameView> out;
-  {
-    std::unique_lock lk(mu_);
-    if (count_ == 0 && !eos_ && !aborted_) {
-      ++stats_.consumer_parks;
-      if (!not_empty_.wait_for(
-              lk, std::chrono::duration<double>(timeout_s),
-              [&] { return count_ > 0 || eos_ || aborted_; })) {
-        common::MetricsRegistry::global()
-            .counter("datamgr.deadline_expiries")
-            .add(1);
-        throw common::TransportError("ring channel pop timed out after " +
-                                     std::to_string(timeout_s) + "s");
-      }
-    }
-    if (aborted_) {
-      throw common::TransportError("pop on an aborted ring channel");
-    }
-    if (count_ == 0) return std::nullopt;
-    out = take_locked();
-  }
-  not_full_.notify_one();
+  if (wake) not_full_.notify_one();
   return out;
 }
 
@@ -123,7 +162,7 @@ void RingChannel::close_send() {
     std::lock_guard lk(mu_);
     if (producers_ > 0) --producers_;
     if (producers_ > 0) return;
-    eos_ = true;
+    eos_.store(true, std::memory_order_relaxed);
   }
   // Consumers parked on an empty ring must observe EOS; producers of
   // sibling fan-in links never park once the stream is over, but a
@@ -136,15 +175,16 @@ void RingChannel::abort() {
   {
     std::lock_guard lk(mu_);
     if (aborted_) return;
-    aborted_ = true;
-    stats_.frames_dropped += count_;
+    aborted_.store(true, std::memory_order_relaxed);
+    const std::size_t count = count_.load(std::memory_order_relaxed);
+    stats_.frames_dropped += count;
     // Release the queued slabs now: an aborted stream's frames must not
     // pin pool memory until the ring object itself dies.
-    for (std::size_t i = 0; i < count_; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       slots_[(head_ + i) % capacity_].reset();
     }
     head_ = 0;
-    count_ = 0;
+    count_.store(0, std::memory_order_relaxed);
   }
   not_full_.notify_all();
   not_empty_.notify_all();

@@ -23,11 +23,20 @@
 // teardown (ChannelBroker::clear_app): queued frames are dropped and
 // every parked producer AND consumer wakes with TransportError.
 //
+// A push into a full ring, or a pop from an empty one, first spins for
+// kSpinBeforePark watching the ring's state without its lock: in a
+// steady pipeline the peer frees a slot or delivers a frame within
+// microseconds, which is cheaper to wait out than a futex park and
+// wake.  Only then does it park on the condition variable, and a
+// push/pop signals the other side only when someone is parked.
+//
 // Thread-safe for any number of racing producers and consumers.  FIFO
 // order is global: frames pop in exactly the order their pushes
 // committed (per-producer order is therefore preserved under fan-in).
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -46,8 +55,8 @@ struct RingChannelStats {
   std::uint64_t frames_pushed = 0;
   std::uint64_t frames_popped = 0;
   std::uint64_t frames_dropped = 0;   ///< queued frames discarded by abort()
-  std::uint64_t producer_parks = 0;   ///< push() blocked on a full ring
-  std::uint64_t consumer_parks = 0;   ///< pop() blocked on an empty ring
+  std::uint64_t producer_parks = 0;   ///< push() parked on a full ring
+  std::uint64_t consumer_parks = 0;   ///< pop() parked on an empty ring
   std::size_t high_water = 0;         ///< max occupancy ever observed
 };
 
@@ -58,6 +67,9 @@ struct RingChannelStats {
 /// can stand wherever a Channel is expected.
 class RingChannel final : public Channel {
  public:
+  /// How long a blocked push or pop spins before it parks.
+  static constexpr std::chrono::microseconds kSpinBeforePark{10};
+
   /// `capacity` >= 1 slots; the slot array is the only allocation the
   /// channel ever makes.  The ring starts with ONE attached producer.
   explicit RingChannel(std::size_t capacity);
@@ -125,6 +137,16 @@ class RingChannel final : public Channel {
   /// count_ > 0.
   [[nodiscard]] FrameView take_locked();
   void push_locked(FrameView&& frame);
+  /// Waits under `lk` until `ready()`: spins unlocked for
+  /// kSpinBeforePark, then parks on `cv` -- counted in `parks`, with
+  /// `parked` raised while it waits -- until `deadline` when one is
+  /// given.  Returns ready().  count_, eos_ and aborted_ change only
+  /// under mu_, but are atomic so that the spin can read them without
+  /// it.
+  template <typename Ready>
+  bool await(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
+             std::size_t& parked, std::uint64_t& parks, Ready ready,
+             const std::chrono::steady_clock::time_point* deadline);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
@@ -132,10 +154,12 @@ class RingChannel final : public Channel {
   std::condition_variable not_empty_;
   std::unique_ptr<FrameView[]> slots_;  // the single allocation
   std::size_t head_ = 0;                // next slot to pop
-  std::size_t count_ = 0;               // occupied slots
+  std::atomic<std::size_t> count_{0};   // occupied slots
+  std::atomic<bool> eos_{false};        // all producers retired
+  std::atomic<bool> aborted_{false};    // abort() was called
   std::size_t producers_ = 1;           // attached, not yet retired
-  bool eos_ = false;                    // all producers retired
-  bool aborted_ = false;
+  std::size_t producers_parked_ = 0;    // pushes parked on not_full_
+  std::size_t consumers_parked_ = 0;    // pops parked on not_empty_
   std::size_t bytes_sent_ = 0;
   RingChannelStats stats_;
 };

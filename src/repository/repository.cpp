@@ -12,6 +12,7 @@ namespace {
 using common::NotFoundError;
 using common::ParseError;
 using common::parse_double;
+using common::parse_i32;
 using common::parse_u32;
 using common::parse_uint;
 using common::split;
@@ -118,7 +119,7 @@ void SiteRepository::load(const std::filesystem::path& dir) {
       u.password_hash = parse_uint(f[1], "users.db password_hash");
       u.salt = parse_uint(f[2], "users.db salt");
       u.user_id = UserId(parse_u32(f[3], "users.db user_id"));
-      u.priority = static_cast<int>(parse_double(f[4], "users.db priority"));
+      u.priority = parse_i32(f[4], "users.db priority");
       u.access_domain = f[5];
       users_.restore(u);
     }

@@ -69,6 +69,7 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
   struct SinkState {
     SinkStreamResult result;
     bool host_died = false;  // roll back to the durable window
+    std::vector<double> latencies_s;  // this sink's latency samples
   };
   std::map<TaskId, SinkState> sinks;
   for (const TaskId t : graph.exit_tasks()) {
@@ -109,10 +110,16 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
   run.app = app;
   const auto t_start = Clock::now();
 
-  // Per-frame latency samples: sources stamp frame births, sinks
-  // resolve them at emission.
-  std::mutex lat_mu;
-  std::map<std::uint64_t, Clock::time_point> born;
+  // Per-frame latency samples: sources stamp frame k's birth in slot
+  // k mod N, sinks read it back at emission.  N bounds the frames in
+  // flight -- every ring full, every stage holding one, plus one -- so
+  // a source never reuses a slot before the sink has read it.
+  std::size_t links = 0;
+  for (const TaskId t : topo) links += graph.ordered_parents(t).size();
+  const std::size_t born_slots =
+      links * config_.channel_capacity + topo.size() + 1;
+  std::vector<std::atomic<Clock::rep>> born(
+      config_.track_latency ? born_slots : 0);
 
   dm::ChannelBroker broker(dm::TransportKind::kInProcess);
   std::vector<HostId> excluded;
@@ -147,6 +154,10 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
           st.result.frames_rolled_back = rolled + lost;
           m_rolled_back.add(lost);
           st.host_died = false;
+          // The rolled-back frames are emitted again: drop their
+          // latency samples, the newest ones.
+          const auto drop = std::min<std::size_t>(lost, st.latencies_s.size());
+          st.latencies_s.resize(st.latencies_s.size() - drop);
         } else if (durable.frames_emitted > st.result.frames_emitted) {
           // Fresh execute() resuming an app the store already holds.
           st.result = durable;
@@ -166,10 +177,6 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
                          ": resuming from checkpoint window at frame ",
                          resume_k);
       }
-    }
-    {
-      std::lock_guard lk(lat_mu);
-      born.clear();
     }
 
     // ---- wire the pipeline: one bounded ring per AFG link, consumer
@@ -227,6 +234,8 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
 
       std::uint64_t k = resume_k;
       std::uint64_t processed = 0;
+      std::vector<tasklib::Payload> inputs;
+      inputs.reserve(in_rings.size());
       try {
         for (;;) {
           if (is_source) {
@@ -242,8 +251,7 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
           }
           // One window per parent, in input-port order — the same
           // input vector the batch engine would assemble.
-          std::vector<tasklib::Payload> inputs;
-          inputs.reserve(in_rings.size());
+          inputs.clear();
           bool eos = false;
           for (const auto& in : in_rings) {
             auto fv = in->pop_for(config_.recv_timeout_s);
@@ -266,8 +274,9 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
           ++processed;
 
           if (is_source && config_.track_latency) {
-            std::lock_guard lk(lat_mu);
-            born.emplace(k, Clock::now());
+            born[k % born.size()].store(
+                Clock::now().time_since_epoch().count(),
+                std::memory_order_relaxed);
           }
           if (sink != nullptr) {
             SinkStreamResult& r = sink->result;
@@ -277,20 +286,20 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
               ++r.frames_skipped;
               m_skipped.add(1);
             } else {
-              const std::vector<std::byte> wire = out.to_wire();
-              r.digest = fnv1a(r.digest, wire);
-              r.bytes_emitted += wire.size();
+              // The digest runs over the wire image (tag byte, then
+              // body) without building it.
+              const std::byte tag{static_cast<std::uint8_t>(out.type())};
+              r.digest = fnv1a(fnv1a(r.digest, {&tag, 1}), out.bytes());
+              r.bytes_emitted += out.wire_size();
               ++r.frames_emitted;
               m_emitted.add(1);
-              if (config_.collect_outputs) r.outputs.push_back(wire);
+              if (config_.collect_outputs) r.outputs.push_back(out.to_wire());
               if (config_.track_latency) {
-                std::lock_guard lk(lat_mu);
-                if (const auto it = born.find(k); it != born.end()) {
-                  run.sink_latencies_s.push_back(
-                      std::chrono::duration<double>(Clock::now() - it->second)
-                          .count());
-                  born.erase(it);
-                }
+                const Clock::time_point birth(Clock::duration(
+                    born[k % born.size()].load(std::memory_order_relaxed)));
+                sink->latencies_s.push_back(
+                    std::chrono::duration<double>(Clock::now() - birth)
+                        .count());
               }
               if (config_.on_sink_frame) config_.on_sink_frame(t, k);
               if (windowed &&
@@ -400,7 +409,11 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
                      attempt, "/", config_.max_attempts, ")");
   }
 
-  for (const auto& [t, st] : sinks) run.sinks[t] = st.result;
+  for (auto& [t, st] : sinks) {
+    run.sinks[t] = st.result;
+    run.sink_latencies_s.insert(run.sink_latencies_s.end(),
+                                st.latencies_s.begin(), st.latencies_s.end());
+  }
   run.elapsed_s =
       std::chrono::duration<double>(Clock::now() - t_start).count();
   return run;

@@ -546,6 +546,17 @@ TEST(StringsTest, ParseUint) {
   EXPECT_THROW((void)parse_uint("4.2", "test"), ParseError);
 }
 
+TEST(StringsTest, ParseI32) {
+  EXPECT_EQ(parse_i32(" 7 ", "test"), 7);
+  EXPECT_EQ(parse_i32("-2147483648", "test"), -2147483647 - 1);
+  EXPECT_EQ(parse_i32("2147483647", "test"), 2147483647);
+  EXPECT_THROW((void)parse_i32("2147483648", "test"), ParseError);
+  EXPECT_THROW((void)parse_i32("1e300", "test"), ParseError);
+  EXPECT_THROW((void)parse_i32("nan", "test"), ParseError);
+  EXPECT_THROW((void)parse_i32("4.2", "test"), ParseError);
+  EXPECT_THROW((void)parse_i32("", "test"), ParseError);
+}
+
 TEST(StringsTest, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");

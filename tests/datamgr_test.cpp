@@ -8,7 +8,10 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -475,6 +478,91 @@ TEST(RingChannel, AbortWakesParkedConsumer) {
   ring.abort();
   consumer.join();
   EXPECT_TRUE(threw.load());
+}
+
+// A blocked push or pop spins for RingChannel::kSpinBeforePark before it
+// parks.  The tests below race the other side against that window: most
+// trials land inside it, the rest against a parked waiter, and the
+// outcome must be the same either way.
+TEST(RingChannel, AbortDuringTheSpinWakesProducerAndConsumer) {
+  for (int trial = 0; trial < 200; ++trial) {
+    RingChannel full(1);
+    full.push(FramePool::global().copy_of(bytes_of("stuck")));
+    RingChannel empty(1);
+    std::atomic<int> started{0};
+    std::atomic<int> threw{0};
+    {
+      std::jthread producer([&] {
+        const FrameView frame = FramePool::global().copy_of(bytes_of("f"));
+        started.fetch_add(1);
+        try {
+          full.push(frame);
+        } catch (const TransportError&) {
+          threw.fetch_add(1);
+        }
+      });
+      std::jthread consumer([&] {
+        started.fetch_add(1);
+        try {
+          (void)empty.pop();
+        } catch (const TransportError&) {
+          threw.fetch_add(1);
+        }
+      });
+      while (started.load() < 2) std::this_thread::yield();
+      full.abort();
+      empty.abort();
+    }
+    ASSERT_EQ(threw.load(), 2) << "trial " << trial;
+  }
+}
+
+TEST(RingChannel, SpinningConsumerSeesTheLastFrameThenCleanEos) {
+  for (int trial = 0; trial < 200; ++trial) {
+    RingChannel ring(2);
+    std::atomic<bool> started{false};
+    std::vector<std::string> got;
+    bool eos = false;
+    {
+      std::jthread consumer([&] {
+        started.store(true);
+        while (auto frame = ring.pop()) {
+          got.push_back(string_of(frame->to_vector()));
+        }
+        eos = true;
+      });
+      while (!started.load()) std::this_thread::yield();
+      ring.push(FramePool::global().copy_of(bytes_of("last")));
+      ring.close_send();
+    }
+    ASSERT_TRUE(eos) << "trial " << trial;
+    ASSERT_EQ(got, std::vector<std::string>{"last"}) << "trial " << trial;
+  }
+}
+
+TEST(RingChannel, PopForDeadlineInsideTheSpinStillExpires) {
+  RingChannel ring(2);
+  auto& expiries =
+      common::MetricsRegistry::global().counter("datamgr.deadline_expiries");
+  const auto before = expiries.value();
+  EXPECT_THROW((void)ring.pop_for(1e-6), TransportError);
+  EXPECT_EQ(expiries.value(), before + 1);
+  // It expired while spinning: it never parked.
+  EXPECT_EQ(ring.stats().consumer_parks, 0u);
+}
+
+TEST(RingChannel, ParksCountOnlyRealParks) {
+  RingChannel ring(2);
+  ring.push(FramePool::global().copy_of(bytes_of("ready")));
+  (void)ring.pop();  // a frame was waiting: no spin, no park
+  EXPECT_EQ(ring.stats().consumer_parks, 0u);
+
+  std::jthread consumer([&] { (void)ring.pop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ring.push(FramePool::global().copy_of(bytes_of("late")));
+  consumer.join();
+  EXPECT_EQ(ring.stats().consumer_parks, 1u);
+  EXPECT_EQ(ring.stats().producer_parks, 0u);
 }
 
 TEST(RingChannel, ChannelInterfaceRoundTrip) {
@@ -1017,6 +1105,60 @@ TEST(FramePool, ConcurrentChurnIsSafe) {
     }
   }
   EXPECT_EQ(pool.stats().bytes_in_use, 0u);
+}
+
+TEST(FramePool, CrossThreadChurnBalancesTheBooks) {
+  // The global pool's thread caches: one thread takes every slab,
+  // another releases it, then both exit.
+  FramePool& pool = FramePool::global();
+  pool.trim();
+  const auto before = pool.stats();
+  constexpr std::uint64_t kFrames = 5000;
+  RingChannel ring(16);
+  {
+    std::jthread producer([&] {
+      for (std::uint64_t i = 0; i < kFrames; ++i) {
+        Frame f = pool.allocate(3000);  // the 4 KiB class
+        f.data()[0] = static_cast<std::byte>(i);
+        ring.push(f.view());
+      }
+      ring.close_send();
+    });
+    std::jthread consumer([&] {
+      while (auto view = ring.pop()) view->reset();
+    });
+  }
+  const auto after = pool.stats();
+  EXPECT_EQ(after.bytes_in_use, before.bytes_in_use);
+  const std::uint64_t served = (after.reuse_hits - before.reuse_hits) +
+                               (after.reuse_misses - before.reuse_misses);
+  EXPECT_EQ(served, kFrames);
+  // Both caches drained into the one shared list, which keeps its cap.
+  EXPECT_GE(after.free_slabs, before.free_slabs + 1);
+  EXPECT_LE(after.free_slabs, before.free_slabs + FramePool::kMaxFreePerClass);
+}
+
+TEST(FramePool, ThreadExitDrainsItsCache) {
+  FramePool& pool = FramePool::global();
+  pool.trim();
+  const auto before = pool.stats();
+  std::thread([&pool] {
+    for (int i = 0; i < 1000; ++i) {
+      Frame f = pool.allocate(100);
+      f.data()[0] = std::byte{1};
+    }
+  }).join();
+  const auto drained = pool.stats();
+  EXPECT_EQ(drained.free_slabs, before.free_slabs + 1);
+  EXPECT_EQ(drained.bytes_in_use, before.bytes_in_use);
+  EXPECT_EQ(drained.reuse_hits - before.reuse_hits, 999u);
+  EXPECT_GE(drained.high_water_bytes, 256u);
+
+  // The exited thread's slab is on the shared list, where this thread's
+  // next allocation of the class finds it.
+  { Frame f = pool.allocate(100); }
+  EXPECT_EQ(pool.stats().reuse_misses, drained.reuse_misses);
+  pool.trim();
 }
 
 // --------------------------------------------- zero-copy channel paths

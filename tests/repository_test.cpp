@@ -433,6 +433,25 @@ TEST_F(RepositoryPersistence, OutOfRangeIdsAreRejected) {
   }
 }
 
+TEST_F(RepositoryPersistence, NonIntegerPrioritiesAreRejected) {
+  // users.db column 4: none of these is an int, and casting any of them
+  // from a parsed double would be undefined.
+  for (const std::string priority : {"1e300", "nan", "2147483648"}) {
+    save_sample(dir_);
+    std::string text;
+    const std::string users = read_file(dir_ / "users.db");
+    for (const auto& line : common::split(users, '\n')) {
+      if (line.empty()) continue;
+      auto fields = common::split(line, '\t');
+      fields[4] = priority;
+      text += common::join(fields, "\t") + "\n";
+    }
+    write_file(dir_ / "users.db", text);
+    SiteRepository loaded(SiteId(3));
+    EXPECT_THROW(loaded.load(dir_), common::ParseError) << priority;
+  }
+}
+
 // Seeded edits of a saved repository either load or throw a VdceError
 // -- no other exception, no crash.
 TEST_F(RepositoryPersistence, GarbageNeverEscapesVdceError) {

@@ -315,6 +315,7 @@ TEST(StreamingEngine, ResumesFromTheLastCheckpointWindowAfterACrash) {
   cfg.frames = kFrames;
   cfg.channel_capacity = 2;  // keeps frames in flight past the crash
   cfg.checkpoint_window = kWindow;
+  cfg.track_latency = true;
   cfg.on_sink_frame = [&plan](TaskId, std::uint64_t k) {
     if (k == 10) plan.dead.store(true, std::memory_order_relaxed);
   };
@@ -340,6 +341,39 @@ TEST(StreamingEngine, ResumesFromTheLastCheckpointWindowAfterACrash) {
   EXPECT_GE(s.windows_captured, kFrames / kWindow);
   // Bit-identical to the fault-free stream.
   EXPECT_EQ(s.digest, reference_digest);
+  // One latency sample per emitted frame, across both attempts.
+  ASSERT_EQ(run.sink_latencies_s.size(), s.frames_emitted);
+  for (const double l : run.sink_latencies_s) EXPECT_GT(l, 0.0);
+}
+
+TEST(StreamingEngine, SinkCrashKeepsOneLatencySamplePerEmittedFrame) {
+  // The sink's own host dies: the frames it emitted past its last
+  // durable window roll back and are emitted again after the resume.
+  const auto graph = make_pipeline();
+  const auto alloc = make_alloc(graph, fake_hosts());
+  const TaskId sink = id_of(graph, "sink");
+  FaultPlan plan;
+  plan.victim = alloc.entry(sink).primary_host();
+  StreamingConfig cfg;
+  cfg.seed = 7;
+  cfg.frames = 24;
+  cfg.channel_capacity = 2;
+  cfg.checkpoint_window = 4;
+  cfg.track_latency = true;
+  cfg.on_sink_frame = [&plan](TaskId, std::uint64_t k) {
+    if (k == 10) plan.dead.store(true, std::memory_order_relaxed);
+  };
+  const FaultTolerance ft = plan.hooks();
+  CheckpointStore store;
+  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+
+  const auto run = engine.execute(graph, alloc, &ft, AppId(61), &store);
+
+  const auto& s = run.sinks.at(sink);
+  EXPECT_EQ(s.frames_emitted, 24u);
+  EXPECT_GT(s.frames_rolled_back, 0u);
+  ASSERT_EQ(run.sink_latencies_s.size(), s.frames_emitted);
+  for (const double l : run.sink_latencies_s) EXPECT_GT(l, 0.0);
 }
 
 TEST(StreamingEngine, WithoutACheckpointStoreTheStreamReplaysFromZero) {
