@@ -16,7 +16,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -27,18 +26,13 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/clock.hpp"
 #include "runtime/fair_share.hpp"
 #include "runtime/submission.hpp"
 
 namespace {
 
 using namespace vdce;
-
-[[nodiscard]] double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // ---------------------------------------------------------------------
 // A faithful replica of the pre-D15 grant pick: one flat ready vector,
@@ -180,9 +174,9 @@ GrantPickCell run_grant_pick_cell(std::size_t depth, std::size_t picks) {
   sharded_ns.reserve(picks);
   std::uint64_t seq = depth + 1;
   for (std::size_t i = 0; i < picks; ++i) {
-    const double t0 = now_s();
+    const double t0 = common::steady_clock().now();
     auto entry = sharded.pop();
-    const double t1 = now_s();
+    const double t1 = common::steady_clock().now();
     sharded_ns.push_back((t1 - t0) * 1e9);
     entry->seq = seq++;
     sharded.push(user_of(i, cell.users), *entry);
@@ -196,9 +190,9 @@ GrantPickCell run_grant_pick_cell(std::size_t depth, std::size_t picks) {
   std::vector<double> linear_ns;
   linear_ns.reserve(picks);
   for (std::size_t i = 0; i < picks; ++i) {
-    const double t0 = now_s();
+    const double t0 = common::steady_clock().now();
     auto entry = linear.pop();
-    const double t1 = now_s();
+    const double t1 = common::steady_clock().now();
     linear_ns.push_back((t1 - t0) * 1e9);
     linear.push(entry.user, seq++, entry.weight);
   }
@@ -250,7 +244,7 @@ ServiceCell run_service_cell(bench::Vdce& v, std::size_t backlog,
   // Build the backlog with batched bursts (also the burst-throughput
   // figure: scheduling + batched QoS + queue push, amortised).
   constexpr std::size_t kBurst = 2000;
-  const double fill0 = now_s();
+  const double fill0 = common::steady_clock().now();
   std::size_t filled = 0;
   while (filled < backlog) {
     const std::size_t count = std::min(kBurst, backlog - filled);
@@ -262,7 +256,7 @@ ServiceCell run_service_cell(bench::Vdce& v, std::size_t backlog,
     (void)service.submit_batch(std::move(burst));
     filled += count;
   }
-  const double fill_s = now_s() - fill0;
+  const double fill_s = common::steady_clock().now() - fill0;
   cell.batch_submissions_per_s =
       fill_s > 0.0 ? static_cast<double>(backlog) / fill_s : 0.0;
 
@@ -272,9 +266,9 @@ ServiceCell run_service_cell(bench::Vdce& v, std::size_t backlog,
   us.reserve(timed_submits);
   for (std::size_t i = 0; i < timed_submits; ++i) {
     auto request = make_request(backlog + i, kUsers);
-    const double t0 = now_s();
+    const double t0 = common::steady_clock().now();
     (void)service.submit(std::move(request));
-    const double t1 = now_s();
+    const double t1 = common::steady_clock().now();
     us.push_back((t1 - t0) * 1e6);
   }
   const Quantiles q = quantiles(us);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "netsim/chaos.hpp"
 #include "runtime/submission.hpp"
@@ -153,15 +154,15 @@ CellResult run_cell(double intensity, bool checkpointing) {
   config.restart_backoff_s = 0.001;
   config.engine.max_attempts = 1;  // no in-gang retry: failures escalate
   config.engine.recv_timeout_s = 5.0;
+  common::VirtualClock clock;  // failover backoff costs no wall-clock
   rt::AppSubmissionService service(SiteId(0), v.repo_directory, registry,
-                                   config);
+                                   config, clock);
   const auto probe = schedule.liveness_probe(*v.testbed, SiteId(0));
   service.set_health_probe(probe);
   service.set_fault_hooks(
       [&probe](const afg::FlowGraph&, const sched::AllocationTable&) {
         rt::FaultTolerance ft;
         ft.host_alive = probe;
-        ft.sleep = [](double) {};  // failover backoff costs no wall-clock
         return ft;
       });
 

@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "daemon/client.hpp"
 #include "datamgr/channel.hpp"
@@ -136,12 +137,6 @@ std::string json_entry(const std::string& op, const std::string& path,
 
 // ------------------------------------------------------ E23: liveness
 
-double steady_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// One E23 variant outcome.
 struct LivenessOutcome {
   std::string name;
@@ -191,7 +186,9 @@ LivenessOutcome run_liveness_variant(const std::string& name, bool gossip,
   ev.site = vdce::rt::LivenessDirectory::watchdog_witness();
   ev.other_site = SiteId(1);
   schedule.add(ev);
-  const double epoch = steady_s();
+  // The daemons read the same host-wide timeline.
+  const vdce::common::Clock& clock = vdce::common::steady_clock();
+  const double epoch = clock.now();
   config.partition_spec = schedule.partition_spec(epoch);
 
   vdce::rt::Watchdog watchdog(config);
@@ -202,15 +199,15 @@ LivenessOutcome run_liveness_variant(const std::string& name, bool gossip,
   });
   watchdog.spawn(SiteId(0));
   watchdog.spawn(SiteId(1));
-  const double up_deadline = steady_s() + 15.0;
-  while (steady_s() < up_deadline && !(watchdog.status(SiteId(0)).up &&
-                                       watchdog.status(SiteId(1)).up)) {
+  const double up_deadline = clock.now() + 15.0;
+  while (clock.now() < up_deadline && !(watchdog.status(SiteId(0)).up &&
+                                        watchdog.status(SiteId(1)).up)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
   // Ride out the partition plus a recovery margin.
   const double heal_end = epoch + 0.4 + 1.2 + 0.8;
-  while (steady_s() < heal_end) {
+  while (clock.now() < heal_end) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   out.false_positive_deaths = site1_downs.load();
@@ -220,14 +217,14 @@ LivenessOutcome run_liveness_variant(const std::string& name, bool gossip,
       watchdog.site_liveness(SiteId(1)) == vdce::rt::SiteLiveness::kAlive;
 
   // The real death: SIGKILL site 0 and time the verdict.
-  const double killed_at = steady_s();
+  const double killed_at = clock.now();
   watchdog.kill_daemon(SiteId(0), SIGKILL);
   const double kill_deadline = killed_at + 10.0;
-  while (steady_s() < kill_deadline && site0_downs.load() == 0) {
+  while (clock.now() < kill_deadline && site0_downs.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   if (site0_downs.load() > 0) {
-    out.sigkill_detect_ms = (steady_s() - killed_at) * 1e3;
+    out.sigkill_detect_ms = (clock.now() - killed_at) * 1e3;
   }
 
   const auto stats = watchdog.liveness().stats();

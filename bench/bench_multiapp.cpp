@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/clock.hpp"
 #include "runtime/submission.hpp"
 #include "scheduler/qos.hpp"
 #include "scheduler/site_scheduler.hpp"
@@ -37,12 +38,6 @@ afg::FlowGraph pipeline_graph(const std::string& name) {
   g.add_link(src, mid, 0.05);
   g.add_link(mid, sink, 0.05);
   return g;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// The builtin library with a 1 ms stall wrapped around the synthetic
@@ -99,10 +94,10 @@ void throughput_sweep() {
         request.seed = i + 1;
         apps.push_back(service.submit(std::move(request)));
       }
-      const double start = now_s();
+      const double start = common::steady_clock().now();
       service.resume();
       service.drain();
-      const double wall = now_s() - start;
+      const double wall = common::steady_clock().now() - start;
 
       tasks = 0;
       for (const auto app : apps) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/clock.hpp"
 #include "editor/editor.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/engine.hpp"
@@ -252,9 +253,10 @@ int run_stream(bool json, const std::string& out_path, bool quick) {
     e.site = SiteId(0);
     return e;
   };
-  ft.sleep = [](double) {};
   rt::CheckpointStore store;
-  rt::StreamingEngine faulted_engine(tasklib::builtin_registry(), fault_cfg);
+  common::VirtualClock clock;  // restart backoff costs no wall-clock
+  rt::StreamingEngine faulted_engine(tasklib::builtin_registry(), fault_cfg,
+                                     clock);
   const auto faulted_run =
       faulted_engine.execute(graph, alloc, &ft, AppId(221), &store);
   const StreamCell faulted = summarize(faulted_run, sink, 0, 0);

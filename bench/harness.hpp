@@ -1,8 +1,13 @@
-// Shared bring-up and reporting helpers for the experiment benches.
+// Shared bring-up and reporting helpers for the experiment benches and
+// the examples.
 //
-// Every bench prints labelled CSV-style rows (the "table" the paper
-// would have contained) plus a short interpretation, so EXPERIMENTS.md
-// can cite the output verbatim.
+// bring_up() builds a virtual testbed, one site repository + Site
+// Manager + Control Manager per site, seeds the task libraries and the
+// `hpdc` demo user, and warms the monitoring fabric so the repositories
+// hold real measurements before anything is scheduled.  Every bench
+// prints labelled CSV-style rows (the "table" the paper would have
+// contained) plus a short interpretation, so EXPERIMENTS.md can cite
+// the output verbatim.
 #pragma once
 
 #include <iostream>
@@ -21,9 +26,7 @@
 
 namespace vdce::bench {
 
-/// One fully wired single-process VDCE over a virtual testbed (same
-/// shape as examples/example_common.hpp, duplicated so the benches are
-/// self-contained).
+/// One fully wired single-process VDCE over a virtual testbed.
 struct Vdce {
   std::unique_ptr<netsim::VirtualTestbed> testbed;
   std::vector<std::unique_ptr<repo::SiteRepository>> repositories;
@@ -34,6 +37,7 @@ struct Vdce {
   sched::RepositoryDirectory repo_directory;
   std::vector<sim::SiteRuntime> runtimes;
 
+  /// Advances every site's control plane to `until` in `step` ticks.
   void warm_up(double until, double step = 1.0) {
     for (double t = step; t <= until + 1e-9; t += step) {
       for (auto& cm : control_managers) cm->tick(t);
@@ -41,6 +45,8 @@ struct Vdce {
   }
 };
 
+/// Brings up a VDCE over `config`.  `warm_up_s` control ticks run before
+/// returning so dynamic attributes and forecasts are populated.
 inline Vdce bring_up(const netsim::TestbedConfig& config,
                      double warm_up_s = 10.0,
                      rt::GroupManagerConfig group_config = {},
@@ -51,6 +57,7 @@ inline Vdce bring_up(const netsim::TestbedConfig& config,
     auto repository = std::make_unique<repo::SiteRepository>(site);
     tasklib::builtin_registry().install_defaults(repository->tasks());
     v.testbed->populate_repository(*repository, site);
+    repository->users().add_user("hpdc", "nynet", 1, "wan");
     auto forecaster = std::make_unique<predict::LoadForecaster>();
     auto manager = std::make_unique<rt::SiteManager>(site, *repository,
                                                      *forecaster);

@@ -10,8 +10,8 @@
 #include <iostream>
 #include <thread>
 
+#include "bench/harness.hpp"
 #include "common/log.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
@@ -20,7 +20,7 @@
 int main() {
   using namespace vdce;
 
-  auto vdce = examples::bring_up(netsim::make_campus_testbed(/*seed=*/11));
+  auto vdce = bench::bring_up(netsim::make_campus_testbed(/*seed=*/11));
   const auto& registry = tasklib::builtin_registry();
 
   // The pipeline, at 2x scenario scale (32 sensor scans).

@@ -8,9 +8,9 @@
 // the comparative visualization service.
 #include <iostream>
 
+#include "bench/harness.hpp"
 #include "common/log.hpp"
 #include "editor/editor.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/static_sim.hpp"
@@ -21,7 +21,7 @@
 int main() {
   using namespace vdce;
 
-  auto vdce = examples::bring_up(netsim::make_campus_testbed(/*seed=*/7));
+  auto vdce = bench::bring_up(netsim::make_campus_testbed(/*seed=*/7));
   const auto& registry = tasklib::builtin_registry();
 
   // ---- browse the task library menus -------------------------------
@@ -106,7 +106,7 @@ int main() {
   // ---- comparative visualization: problem-size scaling ---------------
   viz::ComparativeViz comparison;
   for (const double scale : {0.5, 1.0, 2.0}) {
-    auto universe = examples::bring_up(netsim::make_campus_testbed(7), 10.0);
+    auto universe = bench::bring_up(netsim::make_campus_testbed(7), 10.0);
     sim::StaticSimulator sims(*universe.testbed,
                               universe.repositories[0]->tasks());
     sched::SiteScheduler sched_u(universe.site_managers[0]->site(),

@@ -10,11 +10,11 @@
 //      setup protocol) and print the measured per-task times.
 #include <iostream>
 
+#include "bench/harness.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "editor/editor.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
@@ -30,7 +30,7 @@ int main() {
   common::TraceSession trace_session;
 
   // 1. Bring up the environment.
-  auto vdce = examples::bring_up(netsim::make_campus_testbed(/*seed=*/42));
+  auto vdce = bench::bring_up(netsim::make_campus_testbed(/*seed=*/42));
   std::cout << "VDCE up: " << vdce.testbed->host_count() << " hosts across "
             << vdce.testbed->sites().size() << " sites\n";
 

@@ -27,10 +27,10 @@
 #include <optional>
 #include <sstream>
 
+#include "bench/harness.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "editor/editor.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
 #include "scheduler/qos.hpp"
 #include "scheduler/site_scheduler.hpp"
@@ -41,7 +41,7 @@ namespace {
 using namespace vdce;
 
 struct ConsoleState {
-  examples::Vdce vdce;
+  bench::Vdce vdce;
   std::optional<editor::ApplicationEditor> editor;
   std::optional<afg::FlowGraph> submitted;
   std::optional<sched::AllocationTable> allocation;
@@ -279,7 +279,7 @@ quit
 int main() {
   std::cout << "VDCE console (type 'help'; demo script runs when no input"
                " is piped)\n";
-  ConsoleState state{examples::bring_up(netsim::make_campus_testbed(3)),
+  ConsoleState state{bench::bring_up(netsim::make_campus_testbed(3)),
                      {}, {}, {}, {}, false};
 
   std::istringstream demo(kDemoScript);

@@ -7,8 +7,8 @@
 // the workload visualization of what the monitors saw.
 #include <iostream>
 
+#include "bench/harness.hpp"
 #include "common/log.hpp"
-#include "examples/example_common.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/dynamic_sim.hpp"
 #include "sim/workloads.hpp"
@@ -23,7 +23,7 @@ int main() {
   params.num_sites = 6;
   params.groups_per_site = 2;
   params.hosts_per_group = 4;
-  auto vdce = examples::bring_up(
+  auto vdce = bench::bring_up(
       netsim::make_random_testbed(params, /*seed=*/2026), /*warm_up_s=*/20.0);
   std::cout << "testbed: " << vdce.testbed->host_count() << " hosts, "
             << vdce.testbed->sites().size() << " sites\n";

@@ -1,14 +1,25 @@
 #include "common/clock.hpp"
 
+#include <chrono>
+#include <thread>
+
 #include "common/error.hpp"
 
 namespace vdce::common {
 
-SteadyClock::SteadyClock() : epoch_(std::chrono::steady_clock::now()) {}
-
 TimePoint SteadyClock::now() const {
-  const auto dt = std::chrono::steady_clock::now() - epoch_;
-  return std::chrono::duration<double>(dt).count();
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void SteadyClock::sleep_for(Duration dt) {
+  std::this_thread::sleep_for(std::chrono::duration<double>(dt));
+}
+
+Clock& steady_clock() {
+  static SteadyClock clock;
+  return clock;
 }
 
 void VirtualClock::advance(Duration dt) {

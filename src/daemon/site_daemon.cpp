@@ -5,6 +5,7 @@
 #include <chrono>
 
 #include "afg/serialize.hpp"
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "netsim/config.hpp"
@@ -13,12 +14,6 @@ namespace vdce::daemon {
 
 namespace wire = rt::wire;
 using common::TransportError;
-
-double SiteDaemon::now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 SiteDaemon::SiteDaemon(SiteDaemonConfig config)
     : config_(std::move(config)),
@@ -83,7 +78,8 @@ void SiteDaemon::request_stop() {
 }
 
 bool SiteDaemon::partitioned_from(common::SiteId other) const {
-  return partitions_.partitioned(config_.site, other, now_s());
+  return partitions_.partitioned(config_.site, other,
+                                 common::steady_clock().now());
 }
 
 void SiteDaemon::send_to_watchdog(const std::vector<std::byte>& frame) {
@@ -242,7 +238,7 @@ void SiteDaemon::prober_loop() {
       const std::lock_guard lock(gossip_mu_);
       peers = peers_;
     }
-    const double now = now_s();
+    const double now = common::steady_clock().now();
     for (const Peer& peer : peers) {
       bool ok = false;
       std::uint32_t incarnation = 0;

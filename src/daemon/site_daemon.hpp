@@ -139,7 +139,6 @@ class SiteDaemon {
   void send_to_watchdog(const std::vector<std::byte>& frame);
   /// True while a chaos partition separates this site from `other`.
   [[nodiscard]] bool partitioned_from(common::SiteId other) const;
-  [[nodiscard]] static double now_s();
 
   SiteDaemonConfig config_;
   netsim::VirtualTestbed testbed_;

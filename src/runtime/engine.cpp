@@ -39,8 +39,8 @@ std::string hosts_csv(const std::vector<common::HostId>& hosts) {
 }  // namespace
 
 ExecutionEngine::ExecutionEngine(const tasklib::TaskRegistry& registry,
-                                 EngineConfig config)
-    : registry_(&registry), config_(config) {}
+                                 EngineConfig config, common::Clock& clock)
+    : registry_(&registry), config_(config), clock_(&clock) {}
 
 RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
                                    const sched::AllocationTable& allocation,
@@ -164,12 +164,12 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
   // One retry-backoff nap: jittered so lockstep retries de-correlate,
   // clamped so the task's CUMULATIVE backoff never exceeds
   // max_total_backoff_s (an in-gang sleep stalls every peer blocked on
-  // this task's channels), routed through the FaultTolerance sleep hook
-  // when one is installed (tests sleep virtually), and advanced for the
-  // next round.  `backoff` is the caller's current-round duration.  The
-  // jitter draw is seeded from (engine seed, app, task, attempt) --
-  // never from implicit global state -- so a replay with the same seed
-  // sleeps the exact same schedule through recovery.
+  // this task's channels), slept on the engine's clock (tests sleep
+  // virtually), and advanced for the next round.  `backoff` is the
+  // caller's current-round duration.  The jitter draw is seeded from
+  // (engine seed, app, task, attempt) -- never from implicit global
+  // state -- so a replay with the same seed sleeps the exact same
+  // schedule through recovery.
   const auto backoff_sleep = [&](Slot& slot, double& backoff) {
     double nap = 0.0;
     if (config_.max_total_backoff_s > 0.0) {
@@ -191,11 +191,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
             "retry_backoff", "engine",
             {{"task", slot.node->label}, {"sleep_s", std::to_string(nap)}});
       }
-      if (ft != nullptr && ft->sleep) {
-        ft->sleep(nap);
-      } else {
-        std::this_thread::sleep_for(seconds(nap));
-      }
+      clock_->sleep_for(nap);
       slot.backoff_spent_s += nap;
     }
     backoff *= config_.retry_backoff_multiplier;

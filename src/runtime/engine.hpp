@@ -33,6 +33,7 @@
 #include <optional>
 
 #include "afg/graph.hpp"
+#include "common/clock.hpp"
 #include "datamgr/broker.hpp"
 #include "runtime/app_controller.hpp"
 #include "runtime/site_manager.hpp"
@@ -144,21 +145,17 @@ struct FaultTolerance {
   /// ControlManager::report_task_failure so the repository learns the
   /// host is down).
   std::function<void(const RescheduleRequest&)> on_failure;
-  /// Retry-backoff sleep hook.  Empty = real wall-clock sleep
-  /// (std::this_thread::sleep_for).  Tests and simulations install a
-  /// virtual sleep so retries cost no wall-clock: an in-gang retry
-  /// sleeping for real stalls every gang peer blocked on the task's
-  /// channels.  Called with the (cap-clamped) seconds to sleep; may be
-  /// invoked concurrently from machine threads.
-  std::function<void(double)> sleep;
 };
 
 /// Executes scheduled applications with real threads and channels.
 class ExecutionEngine {
  public:
-  /// `registry` must outlive the engine.
+  /// `registry` and `clock` must outlive the engine.  Retry-backoff
+  /// naps sleep on `clock`: tests and simulations pass a VirtualClock
+  /// so retries cost no wall-clock.
   explicit ExecutionEngine(const tasklib::TaskRegistry& registry,
-                           EngineConfig config = {});
+                           EngineConfig config = {},
+                           common::Clock& clock = common::steady_clock());
 
   /// Runs `graph` per `allocation`.  When `feedback` is given, measured
   /// compute times are stored into its task-performance database.
@@ -192,6 +189,7 @@ class ExecutionEngine {
  private:
   const tasklib::TaskRegistry* registry_;
   EngineConfig config_;
+  common::Clock* clock_;
   /// Atomic: concurrent execute() calls must never share an app id
   /// (broker link keys and per-task seeds are derived from it).
   std::atomic<std::uint32_t> next_app_{1};

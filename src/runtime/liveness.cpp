@@ -1,7 +1,6 @@
 #include "runtime/liveness.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/log.hpp"
 #include "common/metrics.hpp"
@@ -12,12 +11,6 @@ namespace {
 
 void bump(const char* name) {
   common::MetricsRegistry::global().counter(name).add(1);
-}
-
-double steady_now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -31,13 +24,9 @@ const char* to_string(SiteLiveness state) {
   return "unknown";
 }
 
-LivenessDirectory::LivenessDirectory(LivenessConfig config)
-    : config_(config), clock_(steady_now_s) {}
-
-void LivenessDirectory::set_clock(std::function<double()> clock) {
-  const std::lock_guard lock(mu_);
-  clock_ = std::move(clock);
-}
+LivenessDirectory::LivenessDirectory(LivenessConfig config,
+                                     common::Clock& clock)
+    : config_(config), clock_(&clock) {}
 
 void LivenessDirectory::track(SiteId site, std::uint32_t incarnation) {
   const std::lock_guard lock(mu_);
@@ -86,7 +75,7 @@ SiteLiveness LivenessDirectory::suspect(SiteId site, std::uint32_t incarnation,
   const bool fresh_vote = e.votes.insert(witness).second;
   if (e.state == SiteLiveness::kAlive) {
     e.state = SiteLiveness::kSuspect;
-    e.suspect_since_s = clock_();
+    e.suspect_since_s = clock_->now();
     e.last_refutation_s = 0.0;
     e.reason = why;
     ++stats_.suspects;
@@ -126,7 +115,7 @@ SiteLiveness LivenessDirectory::refute(SiteId site, std::uint32_t incarnation,
   if (e.state == SiteLiveness::kDead) return e.state;
   const bool withdrew = e.votes.erase(witness) > 0;
   if (e.state == SiteLiveness::kSuspect) {
-    e.last_refutation_s = clock_();
+    e.last_refutation_s = clock_->now();
     ++stats_.refutations;
     bump("liveness.refutations");
   } else if (withdrew) {
@@ -153,7 +142,7 @@ SiteLiveness LivenessDirectory::conclusive_dead(SiteId site,
 std::vector<SiteId> LivenessDirectory::poll() {
   const std::lock_guard lock(mu_);
   std::vector<SiteId> died;
-  const double now = clock_();
+  const double now = clock_->now();
   for (auto& [site, e] : entries_) {
     if (e.state != SiteLiveness::kSuspect) continue;
     const double anchor = std::max(e.suspect_since_s, e.last_refutation_s);

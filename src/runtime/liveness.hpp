@@ -26,19 +26,19 @@
 // limping back cannot vouch for -- or be blamed as -- its successor).
 // A refutation from a higher incarnation cancels suspicion outright.
 //
-// The directory is clock-injectable (tests drive virtual time), fully
-// thread-safe, and never calls back into its callers, so callers may
-// hold their own locks across calls.
+// The directory reads its deadlines from a common::Clock (tests drive a
+// VirtualClock), is fully thread-safe, and never calls back into its
+// callers, so callers may hold their own locks across calls.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/ids.hpp"
 
 namespace vdce::rt {
@@ -72,7 +72,7 @@ struct SiteLivenessStatus {
   std::uint32_t incarnation = 0;
   /// Witnesses currently voting the site dead.
   std::size_t witnesses = 0;
-  /// Steady seconds when the site entered suspect (0 when not).
+  /// Clock seconds when the site entered suspect (0 when not).
   double suspect_since_s = 0.0;
   /// Reason attached to the last state transition.
   std::string reason;
@@ -91,7 +91,9 @@ struct LivenessStats {
 /// Multi-witness per-site liveness state machines (D17).
 class LivenessDirectory {
  public:
-  explicit LivenessDirectory(LivenessConfig config = {});
+  /// `clock` must outlive the directory.
+  explicit LivenessDirectory(LivenessConfig config = {},
+                             common::Clock& clock = common::steady_clock());
 
   /// The watchdog's own witness identity (its heartbeat-deadline vote).
   /// Distinct from every real site and from SiteId::invalid().
@@ -100,9 +102,6 @@ class LivenessDirectory {
   }
 
   [[nodiscard]] const LivenessConfig& config() const { return config_; }
-
-  /// Replaces the steady clock (tests drive virtual time).
-  void set_clock(std::function<double()> clock);
 
   /// (Re)registers a site at `incarnation`: state alive, votes cleared.
   /// The watchdog calls this at every (re)launch; evidence about any
@@ -149,7 +148,7 @@ class LivenessDirectory {
     std::uint32_t incarnation = 0;
     std::set<SiteId> votes;
     double suspect_since_s = 0.0;
-    /// Steady seconds of the last refutation (extends the deadline).
+    /// Clock seconds of the last refutation (extends the deadline).
     double last_refutation_s = 0.0;
     std::string reason;
   };
@@ -159,7 +158,7 @@ class LivenessDirectory {
                   std::uint64_t LivenessStats::*counter, const char* metric);
 
   LivenessConfig config_;
-  std::function<double()> clock_;
+  common::Clock* clock_;
   mutable std::mutex mu_;
   std::map<SiteId, Entry> entries_;
   LivenessStats stats_;

@@ -35,8 +35,8 @@ constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 }  // namespace
 
 StreamingEngine::StreamingEngine(const tasklib::TaskRegistry& registry,
-                                 StreamingConfig config)
-    : registry_(&registry), config_(std::move(config)) {}
+                                 StreamingConfig config, common::Clock& clock)
+    : registry_(&registry), config_(std::move(config)), clock_(&clock) {}
 
 StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
                                          const sched::AllocationTable& alloc,
@@ -394,12 +394,7 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
       ++run.reschedules;
     }
     if (config_.retry_backoff_s > 0.0) {
-      if (ft->sleep) {
-        ft->sleep(config_.retry_backoff_s);
-      } else {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(config_.retry_backoff_s));
-      }
+      clock_->sleep_for(config_.retry_backoff_s);
     }
     ++attempt;
     ++run.restarts;

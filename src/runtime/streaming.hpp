@@ -83,8 +83,8 @@ struct StreamingConfig {
   /// Ring receive deadline so a dead upstream cannot park a stage
   /// forever.  <= 0 blocks indefinitely.
   double recv_timeout_s = 30.0;
-  /// Sleep before a restart attempt, seconds (routed through the
-  /// FaultTolerance sleep hook when installed).
+  /// Sleep before a restart attempt, seconds, on the engine's clock
+  /// (a VirtualClock makes it cost no wall-clock).
   double retry_backoff_s = 0.01;
   /// Test/bench hook, fired after a sink counts frame k (never for
   /// skipped duplicates).  Called from the sink's stage thread.
@@ -148,9 +148,11 @@ struct StreamRunResult {
 /// Runs AFGs as continuous pipelines over bounded ring channels.
 class StreamingEngine {
  public:
-  /// `registry` must outlive the engine.
+  /// `registry` and `clock` must outlive the engine.  Restart backoff
+  /// sleeps on `clock`.
   explicit StreamingEngine(const tasklib::TaskRegistry& registry,
-                           StreamingConfig config = {});
+                           StreamingConfig config = {},
+                           common::Clock& clock = common::steady_clock());
 
   /// Streams `graph` per `allocation` until the sources finish.  When
   /// `ft` is given, a stage whose host dies is re-placed and the stream
@@ -171,6 +173,7 @@ class StreamingEngine {
  private:
   const tasklib::TaskRegistry* registry_;
   StreamingConfig config_;
+  common::Clock* clock_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint32_t> next_app_{1};
 };

@@ -1,10 +1,8 @@
 #include "runtime/submission.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -29,26 +27,14 @@ void bump(const char* name) {
 
 }  // namespace
 
-HostCircuitBreaker::HostCircuitBreaker(CircuitBreakerConfig config)
-    : config_(config) {}
-
-void HostCircuitBreaker::set_clock(std::function<double()> clock) {
-  std::lock_guard lk(mu_);
-  clock_ = std::move(clock);
-}
+HostCircuitBreaker::HostCircuitBreaker(CircuitBreakerConfig config,
+                                       common::Clock& clock)
+    : config_(config), clock_(&clock) {}
 
 void HostCircuitBreaker::set_on_open(
     std::function<void(common::HostId)> callback) {
   std::lock_guard lk(mu_);
   on_open_ = std::move(callback);
-}
-
-double HostCircuitBreaker::now() const {
-  // mu_ held by every caller.
-  if (clock_) return clock_();
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 void HostCircuitBreaker::refresh_locked(Entry& entry, double t) const {
@@ -69,7 +55,7 @@ bool HostCircuitBreaker::record_failure(common::HostId host) {
     std::lock_guard lk(mu_);
     if (!config_.enabled) return false;
     Entry& entry = entries_[host];
-    refresh_locked(entry, now());
+    refresh_locked(entry, clock_->now());
     entry.score += 1.0;
     if (!entry.open && entry.score >= config_.open_threshold) {
       entry.open = true;
@@ -90,7 +76,7 @@ bool HostCircuitBreaker::quarantined(common::HostId host) {
   if (!config_.enabled) return false;
   const auto it = entries_.find(host);
   if (it == entries_.end()) return false;
-  refresh_locked(it->second, now());
+  refresh_locked(it->second, clock_->now());
   return it->second.open;
 }
 
@@ -98,7 +84,7 @@ std::vector<common::HostId> HostCircuitBreaker::quarantined_hosts() {
   std::lock_guard lk(mu_);
   std::vector<common::HostId> out;
   if (!config_.enabled) return out;
-  const double t = now();
+  const double t = clock_->now();
   for (auto& [host, entry] : entries_) {
     refresh_locked(entry, t);
     if (entry.open) out.push_back(host);
@@ -110,7 +96,7 @@ double HostCircuitBreaker::score(common::HostId host) {
   std::lock_guard lk(mu_);
   const auto it = entries_.find(host);
   if (it == entries_.end()) return 0.0;
-  refresh_locked(it->second, now());
+  refresh_locked(it->second, clock_->now());
   return it->second.score;
 }
 
@@ -166,12 +152,14 @@ struct AppSubmissionService::Prepared {
 
 AppSubmissionService::AppSubmissionService(
     SiteId local_site, sched::SiteDirectory& directory,
-    const tasklib::TaskRegistry& registry, AppSubmissionConfig config)
+    const tasklib::TaskRegistry& registry, AppSubmissionConfig config,
+    common::Clock& clock)
     : local_site_(local_site),
       directory_(&directory),
       registry_(&registry),
       config_(config),
-      breaker_(config.breaker),
+      clock_(&clock),
+      breaker_(config.breaker, clock),
       queue_(config.fair_share),
       paused_(config.start_paused) {
   config_.slots = std::max<std::size_t>(config_.slots, 1);
@@ -707,7 +695,7 @@ void AppSubmissionService::worker_loop() {
 
     EngineConfig engine_config = config_.engine;
     engine_config.seed = rec->request.seed;
-    ExecutionEngine engine(*registry_, engine_config);
+    ExecutionEngine engine(*registry_, engine_config, *clock_);
     CheckpointStore* checkpoint =
         config_.checkpointing ? &checkpoints_ : nullptr;
 
@@ -768,13 +756,7 @@ void AppSubmissionService::worker_loop() {
         nap *= 1.0 + config_.restart_backoff_jitter *
                          (jitter.uniform() - 0.5);
       }
-      if (nap > 0.0) {
-        if (hooks.sleep) {
-          hooks.sleep(nap);
-        } else {
-          std::this_thread::sleep_for(std::chrono::duration<double>(nap));
-        }
-      }
+      if (nap > 0.0) clock_->sleep_for(nap);
       restart_backoff *= config_.restart_backoff_multiplier;
     }
 

@@ -92,11 +92,10 @@ struct CircuitBreakerConfig {
 /// counters and invalidate forecasters).
 class HostCircuitBreaker {
  public:
-  explicit HostCircuitBreaker(CircuitBreakerConfig config = {});
+  /// The score decays on `clock`, which must outlive the breaker.
+  explicit HostCircuitBreaker(CircuitBreakerConfig config = {},
+                              common::Clock& clock = common::steady_clock());
 
-  /// Injectable clock (seconds, monotone); tests pin virtual time.
-  /// Default: wall-clock steady_clock seconds.
-  void set_clock(std::function<double()> clock);
   /// Fired once per open transition, outside the internal lock.
   void set_on_open(std::function<void(common::HostId)> callback);
 
@@ -125,10 +124,9 @@ class HostCircuitBreaker {
   };
   /// Decays `entry` to `now` and applies the close threshold; lock held.
   void refresh_locked(Entry& entry, double now) const;
-  [[nodiscard]] double now() const;
 
   CircuitBreakerConfig config_;
-  std::function<double()> clock_;
+  common::Clock* clock_;
   std::function<void(common::HostId)> on_open_;
   mutable std::mutex mu_;
   std::map<common::HostId, Entry> entries_;
@@ -305,10 +303,13 @@ using FaultHookFactory = std::function<FaultTolerance(
 /// Concurrent multi-application admission and execution front door.
 class AppSubmissionService {
  public:
-  /// `directory` and `registry` must outlive the service.
+  /// `directory`, `registry` and `clock` must outlive the service.
+  /// `clock` times the breaker's decay, the restart naps and the
+  /// backoff naps of every engine the service builds.
   AppSubmissionService(SiteId local_site, sched::SiteDirectory& directory,
                        const tasklib::TaskRegistry& registry,
-                       AppSubmissionConfig config = {});
+                       AppSubmissionConfig config = {},
+                       common::Clock& clock = common::steady_clock());
 
   /// Drains the ready queue (shutdown still executes admitted work),
   /// then joins the slot workers.
@@ -389,7 +390,7 @@ class AppSubmissionService {
 
   /// The service's checkpoint store (tests inspect frontier sizes).
   [[nodiscard]] CheckpointStore& checkpoints() { return checkpoints_; }
-  /// The flapping-host circuit breaker (tests pin its clock).
+  /// The flapping-host circuit breaker.
   [[nodiscard]] HostCircuitBreaker& breaker() { return breaker_; }
   /// The sharded stride queue (tests inspect user/renorm counters).
   [[nodiscard]] FairShareQueue& fair_share() { return queue_; }
@@ -433,6 +434,7 @@ class AppSubmissionService {
   sched::SiteDirectory* directory_;
   const tasklib::TaskRegistry* registry_;
   AppSubmissionConfig config_;
+  common::Clock* clock_;
   SiteManager* feedback_ = nullptr;
   std::vector<predict::LoadForecaster*> forecasters_;
   FaultHookFactory fault_hooks_;

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <optional>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
@@ -20,12 +21,6 @@
 namespace vdce::rt {
 
 using common::TransportError;
-
-double Watchdog::now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 double Watchdog::restart_backoff(const WatchdogConfig& config, SiteId site,
                                  std::size_t restart_index) {
@@ -74,7 +69,8 @@ void Watchdog::launch_locked(Daemon& d) {
   d.rpc_port = 0;
   d.gossip_port = 0;
   d.up = false;
-  d.last_beat_s = now_s();  // grace: the timeout clock starts at launch
+  // Grace: the timeout clock starts at launch.
+  d.last_beat_s = common::steady_clock().now();
   liveness_.track(d.site, d.incarnation);
 
   const std::string site_arg = std::to_string(d.site.value());
@@ -231,7 +227,7 @@ void Watchdog::beat_loop(std::shared_ptr<dm::TcpChannel> channel) {
       if (beat.incarnation != d.incarnation) continue;  // stale process
       bound_site = beat.site;
       bound_incarnation = beat.incarnation;
-      d.last_beat_s = now_s();
+      d.last_beat_s = common::steady_clock().now();
       d.rpc_port = beat.rpc_port;
       d.gossip_port = beat.gossip_port;
       ++d.heartbeats;
@@ -294,7 +290,8 @@ void Watchdog::declare_down(Daemon& d, const std::string& why) {
     return;
   }
   const double backoff = restart_backoff(config_, d.site, d.restarts);
-  restart_queue_.emplace_back(now_s() + backoff, d.site);
+  restart_queue_.emplace_back(common::steady_clock().now() + backoff,
+                              d.site);
 }
 
 void Watchdog::monitor_loop() {
@@ -304,7 +301,7 @@ void Watchdog::monitor_loop() {
   while (!stopping_) {
     cv_.wait_for(lock, poll, [this] { return stopping_; });
     if (stopping_) return;
-    const double now = now_s();
+    const double now = common::steady_clock().now();
     std::vector<SiteId> downs;
     for (auto& [site, d] : daemons_) {
       if (d.pid > 0) {
@@ -560,13 +557,13 @@ void Watchdog::stop() {
     ::kill(static_cast<pid_t>(pid), SIGTERM);
   }
   // Brief grace, then make it final.
-  const double deadline = now_s() + 1.0;
+  const double deadline = common::steady_clock().now() + 1.0;
   for (const std::int64_t pid : pids) {
     int status = 0;
     for (;;) {
       const pid_t r = ::waitpid(static_cast<pid_t>(pid), &status, WNOHANG);
       if (r != 0) break;
-      if (now_s() > deadline) {
+      if (common::steady_clock().now() > deadline) {
         ::kill(static_cast<pid_t>(pid), SIGKILL);
         ::waitpid(static_cast<pid_t>(pid), &status, 0);
         break;

@@ -30,9 +30,12 @@
 //     fenced off, and invokes on_site_up once the reincarnation's
 //     first beat lands.
 //
-// Wall-clock by design: process supervision is inherently real-time
-// (there is no virtual clock across address spaces), so the tunables
-// below are real seconds and the tests use short periods.
+// Real time by design: process supervision is inherently real-time
+// (there is no virtual clock across address spaces), so the watchdog,
+// its LivenessDirectory and the daemons all read common::steady_clock()
+// -- the host's one CLOCK_MONOTONIC timeline -- rather than taking a
+// Clock&.  The tunables below are real seconds and the tests use short
+// periods.
 #pragma once
 
 #include <condition_variable>
@@ -214,7 +217,6 @@ class Watchdog {
   /// Declares `d` down and schedules its restart; returns the
   /// callback to fire outside the lock (or nullptr).
   void declare_down(Daemon& d, const std::string& why);
-  [[nodiscard]] static double now_s();
 
   WatchdogConfig config_;
   std::function<void(SiteId)> on_site_down_;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/metrics.hpp"
 #include "netsim/chaos.hpp"
 #include "netsim/testbed.hpp"
@@ -131,10 +132,8 @@ TEST(HostCircuitBreaker, OpensOnFailureRateAndDecaysClosed) {
   config.open_threshold = 3.0;
   config.close_threshold = 1.0;
   config.decay_half_life_s = 10.0;
-  HostCircuitBreaker breaker(config);
-
-  double now = 0.0;
-  breaker.set_clock([&now] { return now; });
+  common::VirtualClock clock;
+  HostCircuitBreaker breaker(config, clock);
 
   const HostId flappy(4);
   EXPECT_FALSE(breaker.record_failure(flappy));
@@ -152,7 +151,7 @@ TEST(HostCircuitBreaker, OpensOnFailureRateAndDecaysClosed) {
 
   // Two half-lives later the score decays 3 -> 0.75 < close threshold:
   // the breaker closes (hysteresis: it opened at 3, closes below 1).
-  now = 20.0;
+  clock.advance_to(20.0);
   EXPECT_FALSE(breaker.quarantined(flappy));
   EXPECT_NEAR(breaker.score(flappy), 0.75, 1e-9);
 
@@ -410,13 +409,12 @@ class FailoverEnv : public ::testing::Test {
     config.engine.max_attempts = 1;  // no in-gang retry: fail fast
     config.engine.recv_timeout_s = 5.0;
     auto service = std::make_unique<AppSubmissionService>(
-        SiteId(0), directory_, registry_, config);
+        SiteId(0), directory_, registry_, config, clock_);
     service->set_health_probe(testbed_->liveness_probe());
     service->set_fault_hooks(
         [this](const afg::FlowGraph&, const sched::AllocationTable&) {
           FaultTolerance ft;
           ft.host_alive = testbed_->liveness_probe();
-          ft.sleep = [](double) {};  // virtual: restarts cost no wall-clock
           return ft;
         });
     return service;
@@ -450,6 +448,9 @@ class FailoverEnv : public ::testing::Test {
   std::vector<std::unique_ptr<repo::SiteRepository>> repositories_;
   std::vector<std::unique_ptr<predict::LoadForecaster>> forecasters_;
   sched::RepositoryDirectory directory_;
+  /// Virtual: the breaker's decay and every backoff nap run on it, so
+  /// restarts cost no wall-clock.
+  common::VirtualClock clock_;
 };
 
 TEST_F(FailoverEnv, SiteOutageFailoverResumesFromCheckpoint) {
@@ -653,13 +654,11 @@ TEST_F(FailoverEnv, BreakerTripBumpsStatsAndInvalidatesPredictions) {
   AppSubmissionConfig config;
   config.breaker.enabled = true;
   config.breaker.open_threshold = 3.0;
-  AppSubmissionService service(SiteId(0), directory_, registry_, config);
+  AppSubmissionService service(SiteId(0), directory_, registry_, config,
+                               clock_);
   for (auto& forecaster : forecasters_) {
     service.add_forecaster(forecaster.get());
   }
-
-  double now = 0.0;
-  service.breaker().set_clock([&now] { return now; });
 
   const HostId flappy = testbed_->all_hosts().front();
   const auto version_before = forecasters_.front()->version();
@@ -688,14 +687,14 @@ TEST_F(FailoverEnv, QuarantinedHostIsExcludedByWrappedLiveness) {
   config.breaker.close_threshold = 0.1;  // ...and it stays open a while
   config.max_restarts = 1;
   config.engine.max_attempts = 1;
-  AppSubmissionService service(SiteId(0), directory_, registry_, config);
+  AppSubmissionService service(SiteId(0), directory_, registry_, config,
+                               clock_);
   service.set_health_probe(
       [this](HostId host) { return testbed_->is_alive_now(host); });
   service.set_fault_hooks(
       [this](const afg::FlowGraph&, const sched::AllocationTable&) {
         FaultTolerance ft;
         ft.host_alive = testbed_->liveness_probe();
-        ft.sleep = [](double) {};
         return ft;
       });
 

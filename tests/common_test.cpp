@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/error.hpp"
@@ -63,6 +65,16 @@ TEST(SteadyClockTest, Monotone) {
   EXPECT_GE(a, 0.0);
 }
 
+TEST(SteadyClockTest, ReadsTheHostWideSteadyTimeline) {
+  // The epoch is the host's CLOCK_MONOTONIC, not the object's
+  // construction: another process reading steady_clock agrees.
+  const double host = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now().time_since_epoch())
+                          .count();
+  EXPECT_NEAR(SteadyClock().now(), host, 1e-3);
+  EXPECT_NEAR(steady_clock().now(), host, 1e-3);
+}
+
 TEST(VirtualClockTest, StartsAtGivenTime) {
   VirtualClock clock(5.0);
   EXPECT_DOUBLE_EQ(clock.now(), 5.0);
@@ -74,6 +86,21 @@ TEST(VirtualClockTest, Advance) {
   EXPECT_DOUBLE_EQ(clock.now(), 2.5);
   clock.advance_to(10.0);
   EXPECT_DOUBLE_EQ(clock.now(), 10.0);
+}
+
+TEST(VirtualClockTest, SleepForAdvancesWithoutBlocking) {
+  VirtualClock clock;
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::vector<std::thread> sleepers;
+  for (int i = 0; i < 8; ++i) {
+    sleepers.emplace_back([&clock] { clock.sleep_for(0.5); });
+  }
+  for (std::thread& t : sleepers) t.join();
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  EXPECT_DOUBLE_EQ(clock.now(), 4.0);  // concurrent sleepers add up
+  EXPECT_LT(wall, 0.5);
 }
 
 TEST(VirtualClockTest, RejectsBackwardMotion) {

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -59,12 +60,6 @@ using common::TransportError;
 
 std::uint64_t counter_value(const char* name) {
   return common::MetricsRegistry::global().counter(name).value();
-}
-
-double steady_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 // ------------------------------------------------ wire format round trips
@@ -994,9 +989,9 @@ TEST(Deadlines, ReceiveForHonorsDeadlineUnderEventLoopStorm) {
     }
   });
 
-  const double start = steady_s();
+  const double start = common::steady_clock().now();
   EXPECT_THROW((void)idle_rx->receive_for(0.4), TransportError);
-  const double elapsed = steady_s() - start;
+  const double elapsed = common::steady_clock().now() - start;
   EXPECT_GE(elapsed, 0.35);
   EXPECT_LE(elapsed, 2.0) << "deadline stretched under the notify storm";
 
@@ -1030,9 +1025,9 @@ TEST(Deadlines, AcceptForHonorsDeadlineUnderSignalStorm) {
   });
 
   dm::TcpListener listener;  // nobody ever connects
-  const double start = steady_s();
+  const double start = common::steady_clock().now();
   EXPECT_THROW((void)listener.accept_for(0.5), TransportError);
-  const double elapsed = steady_s() - start;
+  const double elapsed = common::steady_clock().now() - start;
   EXPECT_GE(elapsed, 0.45);
   EXPECT_LE(elapsed, 3.0) << "EINTR restarted the timeout";
 
@@ -1127,13 +1122,13 @@ TEST(SiteDaemon, WatchdogRestartsSigkilledDaemonAndClientReattaches) {
 
   // The watchdog must notice the death (waitpid / heartbeat EOF) and
   // respawn; wait for the reincarnation's first beat.
-  const double deadline = steady_s() + 15.0;
+  const double deadline = common::steady_clock().now() + 15.0;
   DaemonStatus status2;
   do {
     status2 = watchdog.status(SiteId(0));
     if (status2.up && status2.incarnation == 2) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  } while (steady_s() < deadline);
+  } while (common::steady_clock().now() < deadline);
   ASSERT_TRUE(status2.up) << "daemon was not restarted";
   EXPECT_EQ(status2.incarnation, 2u);
   EXPECT_EQ(status2.restarts, 1u);
@@ -1261,8 +1256,9 @@ TEST(SiteDaemon, RemoteDirectoryYieldsInfeasibleSelectionWhenSiteAbandoned) {
   watchdog.spawn(SiteId(0));
   (void)watchdog.rpc_port(SiteId(0));
   watchdog.kill_daemon(SiteId(0), SIGKILL);
-  const double deadline = steady_s() + 15.0;
-  while (!watchdog.status(SiteId(0)).abandoned && steady_s() < deadline) {
+  const double deadline = common::steady_clock().now() + 15.0;
+  while (!watchdog.status(SiteId(0)).abandoned &&
+         common::steady_clock().now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_TRUE(watchdog.status(SiteId(0)).abandoned);
@@ -1352,13 +1348,12 @@ class ControlPlaneFailover : public ::testing::Test {
     config.engine.max_attempts = 1;
     config.engine.recv_timeout_s = 5.0;
     auto service = std::make_unique<AppSubmissionService>(
-        SiteId(0), directory_, registry_, config);
+        SiteId(0), directory_, registry_, config, clock_);
     service->set_health_probe(testbed_->liveness_probe());
     service->set_fault_hooks(
         [this](const afg::FlowGraph&, const sched::AllocationTable&) {
           FaultTolerance ft;
           ft.host_alive = testbed_->liveness_probe();
-          ft.sleep = [](double) {};
           return ft;
         });
     return service;
@@ -1392,6 +1387,8 @@ class ControlPlaneFailover : public ::testing::Test {
   std::vector<std::unique_ptr<repo::SiteRepository>> repositories_;
   std::vector<std::unique_ptr<predict::LoadForecaster>> forecasters_;
   sched::RepositoryDirectory directory_;
+  /// Virtual: failover backoff naps cost no wall-clock.
+  common::VirtualClock clock_;
 };
 
 TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
@@ -1485,13 +1482,13 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
 
   // The watchdog side: death detected, daemon restarted, reincarnation
   // serving RPCs on its new port.
-  const double deadline = steady_s() + 15.0;
+  const double deadline = common::steady_clock().now() + 15.0;
   DaemonStatus status;
   do {
     status = watchdog.status(doomed);
     if (status.up && status.incarnation == 2) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  } while (steady_s() < deadline);
+  } while (common::steady_clock().now() < deadline);
   ASSERT_TRUE(status.up) << "watchdog never restarted the killed daemon";
   EXPECT_EQ(status.incarnation, 2u);
   EXPECT_EQ(status.restarts, 1u);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "netsim/testbed.hpp"
 #include "runtime/control_manager.hpp"
@@ -73,16 +74,13 @@ class FaultEnv : public ::testing::Test {
     ft.on_failure = [this](const RescheduleRequest& request) {
       for (auto& c : controls_) c->report_task_failure(request);
     };
-    // Virtual sleep: retry backoff costs the tests no wall-clock (an
-    // in-gang nap would stall every peer blocked on the task).  May be
-    // called concurrently from machine threads.
-    ft.sleep = [this](double s) {
-      virtual_slept_.fetch_add(s, std::memory_order_relaxed);
-    };
     return ft;
   }
 
-  std::atomic<double> virtual_slept_{0.0};
+  /// The engines' clock.  Virtual sleep: retry backoff costs the tests
+  /// no wall-clock (an in-gang nap would stall every peer blocked on
+  /// the task); concurrent naps from machine threads add up.
+  common::VirtualClock clock_;
 
   std::unique_ptr<netsim::VirtualTestbed> testbed_;
   std::vector<std::unique_ptr<repo::SiteRepository>> repositories_;
@@ -148,7 +146,7 @@ TEST_F(FaultEnv, EngineRecoversFromInjectedHostFailure) {
   ASSERT_FALSE(testbed_->is_alive_now(failed_host));
 
   const FaultTolerance ft = wire_hooks(scheduler, g, allocation);
-  ExecutionEngine engine(tasklib::builtin_registry());
+  ExecutionEngine engine(tasklib::builtin_registry(), {}, clock_);
   const auto result =
       engine.execute(g, allocation, managers_[0].get(), nullptr, &ft);
 
@@ -196,7 +194,7 @@ TEST_F(FaultEnv, RecoveryPreservesOutputs) {
   testbed_->set_live_time(60.0);
 
   const FaultTolerance ft = wire_hooks(scheduler, g, allocation);
-  ExecutionEngine faulty_engine(tasklib::builtin_registry());
+  ExecutionEngine faulty_engine(tasklib::builtin_registry(), {}, clock_);
   const auto recovered =
       faulty_engine.execute(g, allocation, nullptr, nullptr, &ft);
 
@@ -230,7 +228,7 @@ TEST_F(FaultEnv, LoadGuardRefusalRecovers) {
 
   EngineConfig config;
   config.load_threshold = 4.0;
-  ExecutionEngine engine(tasklib::builtin_registry(), config);
+  ExecutionEngine engine(tasklib::builtin_registry(), config, clock_);
   const auto result = engine.execute(g, allocation, nullptr, nullptr, &ft);
 
   EXPECT_EQ(result.failures_recovered, 1u);
@@ -260,7 +258,7 @@ TEST_F(FaultEnv, NoFeasibleReplacementStillThrows) {
   testbed_->set_live_time(60.0);
 
   const FaultTolerance ft = wire_hooks(scheduler, g, allocation);
-  ExecutionEngine engine(tasklib::builtin_registry());
+  ExecutionEngine engine(tasklib::builtin_registry(), {}, clock_);
   EXPECT_THROW((void)engine.execute(g, allocation, nullptr, nullptr, &ft),
                common::StateError);
 }
@@ -321,7 +319,7 @@ TEST_F(FaultEnv, HostFailureIsolatedBetweenConcurrentApps) {
     std::jthread run_a([&] {
       try {
         const FaultTolerance ft = wire_hooks(scheduler, ga, alloc_a);
-        ExecutionEngine engine(tasklib::builtin_registry());
+        ExecutionEngine engine(tasklib::builtin_registry(), {}, clock_);
         a_result = engine.execute(ga, alloc_a, managers_[0].get(),
                                   nullptr, &ft);
       } catch (const std::exception& e) {
@@ -331,7 +329,8 @@ TEST_F(FaultEnv, HostFailureIsolatedBetweenConcurrentApps) {
     std::jthread run_b([&] {
       try {
         const FaultTolerance ft = wire_hooks(scheduler, gb, alloc_b);
-        ExecutionEngine engine(tasklib::builtin_registry(), b_config);
+        ExecutionEngine engine(tasklib::builtin_registry(), b_config,
+                               clock_);
         b_result = engine.execute(gb, alloc_b, managers_[0].get(),
                                   nullptr, &ft, b_app);
       } catch (const std::exception& e) {
@@ -422,13 +421,13 @@ TEST(FaultRecoveryTest, TransientTaskErrorIsRetriedAndInputsReplayed) {
       ++task_error_reports;
     }
   };
-  ft.sleep = [](double) {};  // virtual sleep: no wall-clock backoff
+  common::VirtualClock clock;  // virtual sleep: no wall-clock backoff
 
   EngineConfig config;
   config.retry_backoff_s = 0.001;
   config.attempt_timeout_s = 20.0;
   config.recv_timeout_s = 20.0;
-  ExecutionEngine engine(registry, config);
+  ExecutionEngine engine(registry, config, clock);
   const auto result = engine.execute(g, allocation, nullptr, nullptr, &ft);
 
   EXPECT_EQ(result.failures_recovered, 2u);  // the task and its consumer

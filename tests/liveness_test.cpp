@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -38,12 +39,6 @@ std::uint64_t counter_value(const char* name) {
   return common::MetricsRegistry::global().counter(name).value();
 }
 
-double steady_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // ------------------------------ LivenessDirectory (injected clock)
 
 LivenessConfig unit_config() {
@@ -55,9 +50,8 @@ LivenessConfig unit_config() {
 }
 
 TEST(LivenessDirectory, QuorumOfWitnessesDeclaresDeath) {
-  LivenessDirectory dir(unit_config());
-  double now = 0.0;
-  dir.set_clock([&] { return now; });
+  common::VirtualClock clock;
+  LivenessDirectory dir(unit_config(), clock);
   const SiteId site(1);
   dir.track(site, 1);
   EXPECT_EQ(dir.state(site), SiteLiveness::kAlive);
@@ -88,57 +82,54 @@ TEST(LivenessDirectory, QuorumOfWitnessesDeclaresDeath) {
 TEST(LivenessDirectory, UnrefutedSuspicionTimesOut) {
   auto config = unit_config();
   config.quorum = 3;  // unreachable with one witness
-  LivenessDirectory dir(config);
-  double now = 0.0;
-  dir.set_clock([&] { return now; });
+  common::VirtualClock clock;
+  LivenessDirectory dir(config, clock);
   const SiteId site(1);
   dir.track(site, 1);
   (void)dir.suspect(site, 1, SiteId(7), "timer");
 
-  now = 0.9;
+  clock.advance_to(0.9);
   EXPECT_TRUE(dir.poll().empty());
   EXPECT_EQ(dir.state(site), SiteLiveness::kSuspect);
 
-  now = 1.2;
+  clock.advance_to(1.2);
   const auto died = dir.poll();
   ASSERT_EQ(died.size(), 1u);
   EXPECT_EQ(died[0], site);
   EXPECT_EQ(dir.state(site), SiteLiveness::kDead);
   EXPECT_EQ(dir.stats().deaths_timeout, 1u);
   // A site dies once: the next poll reports nothing.
-  now = 2.5;
+  clock.advance_to(2.5);
   EXPECT_TRUE(dir.poll().empty());
 }
 
 TEST(LivenessDirectory, RefutationExtendsTheSuspicionDeadline) {
   auto config = unit_config();
   config.quorum = 3;
-  LivenessDirectory dir(config);
-  double now = 0.0;
-  dir.set_clock([&] { return now; });
+  common::VirtualClock clock;
+  LivenessDirectory dir(config, clock);
   const SiteId site(1);
   dir.track(site, 1);
   (void)dir.suspect(site, 1, SiteId(7), "timer");
 
   // A refutation at t=0.8 moves the deadline anchor: the original
   // t=1.0 deadline passes without a death.
-  now = 0.8;
+  clock.advance_to(0.8);
   EXPECT_EQ(dir.refute(site, 1, SiteId(9)), SiteLiveness::kSuspect);
   EXPECT_EQ(dir.stats().refutations, 1u);
-  now = 1.5;
+  clock.advance_to(1.5);
   EXPECT_TRUE(dir.poll().empty());
   EXPECT_EQ(dir.state(site), SiteLiveness::kSuspect);
 
   // ... but with no further refutation the backstop still fires.
-  now = 1.9;
+  clock.advance_to(1.9);
   EXPECT_EQ(dir.poll().size(), 1u);
   EXPECT_EQ(dir.stats().deaths_timeout, 1u);
 }
 
 TEST(LivenessDirectory, RefutationWithdrawsTheWitnessVote) {
-  LivenessDirectory dir(unit_config());
-  double now = 0.0;
-  dir.set_clock([&] { return now; });
+  common::VirtualClock clock;
+  LivenessDirectory dir(unit_config(), clock);
   const SiteId site(1);
   dir.track(site, 1);
   (void)dir.suspect(site, 1, SiteId(7), "timer");
@@ -151,9 +142,8 @@ TEST(LivenessDirectory, RefutationWithdrawsTheWitnessVote) {
 }
 
 TEST(LivenessDirectory, HeartbeatRecoversASuspect) {
-  LivenessDirectory dir(unit_config());
-  double now = 0.0;
-  dir.set_clock([&] { return now; });
+  common::VirtualClock clock;
+  LivenessDirectory dir(unit_config(), clock);
   const SiteId site(1);
   dir.track(site, 1);
   (void)dir.suspect(site, 1, SiteId(7), "timer");
@@ -164,9 +154,8 @@ TEST(LivenessDirectory, HeartbeatRecoversASuspect) {
 }
 
 TEST(LivenessDirectory, IncarnationFencing) {
-  LivenessDirectory dir(unit_config());
-  double now = 0.0;
-  dir.set_clock([&] { return now; });
+  common::VirtualClock clock;
+  LivenessDirectory dir(unit_config(), clock);
   const SiteId site(1);
   dir.track(site, 2);
 
@@ -352,8 +341,8 @@ WatchdogConfig gossip_watchdog_config() {
 }
 
 void wait_until_up(Watchdog& watchdog, SiteId site, double timeout_s = 15.0) {
-  const double deadline = steady_s() + timeout_s;
-  while (steady_s() < deadline) {
+  const double deadline = common::steady_clock().now() + timeout_s;
+  while (common::steady_clock().now() < deadline) {
     if (watchdog.status(site).up) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -377,7 +366,7 @@ TEST(QuorumLiveness, PartitionedHealthySiteIsSuspectedButNeverDeclaredDead) {
   ev.site = LivenessDirectory::watchdog_witness();
   ev.other_site = SiteId(1);
   schedule.add(ev);
-  const double epoch = steady_s();
+  const double epoch = common::steady_clock().now();
   config.partition_spec = schedule.partition_spec(epoch);
 
   Watchdog watchdog(config);
@@ -392,7 +381,7 @@ TEST(QuorumLiveness, PartitionedHealthySiteIsSuspectedButNeverDeclaredDead) {
   // ever be declared dead (zero false positives is THE acceptance bar).
   bool saw_suspect = false;
   const double end = epoch + 0.4 + 1.5 + 0.6;
-  while (steady_s() < end) {
+  while (common::steady_clock().now() < end) {
     ASSERT_NE(watchdog.site_liveness(SiteId(0)), SiteLiveness::kDead);
     ASSERT_NE(watchdog.site_liveness(SiteId(1)), SiteLiveness::kDead);
     saw_suspect |=
@@ -404,8 +393,8 @@ TEST(QuorumLiveness, PartitionedHealthySiteIsSuspectedButNeverDeclaredDead) {
          "did not reach the daemon";
 
   // After the heal the resumed heartbeats recover the suspect.
-  const double deadline = steady_s() + 10.0;
-  while (steady_s() < deadline &&
+  const double deadline = common::steady_clock().now() + 10.0;
+  while (common::steady_clock().now() < deadline &&
          watchdog.site_liveness(SiteId(1)) != SiteLiveness::kAlive) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -446,15 +435,15 @@ TEST(QuorumLiveness, SigkilledDaemonIsQuorumConfirmedDeadWithinBound) {
   wait_until_up(watchdog, SiteId(0));
   wait_until_up(watchdog, SiteId(1));
 
-  const double killed_at = steady_s();
+  const double killed_at = common::steady_clock().now();
   watchdog.kill_daemon(SiteId(1), SIGKILL);
 
   // Acceptance: quorum-confirmed dead within 3x the suspicion timeout.
   const double bound_s = 3.0 * config.liveness.suspicion_timeout_s;
   double detected_at = 0.0;
-  while (steady_s() - killed_at < bound_s) {
+  while (common::steady_clock().now() - killed_at < bound_s) {
     if (down_events.load() > 0) {
-      detected_at = steady_s();
+      detected_at = common::steady_clock().now();
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -470,8 +459,8 @@ TEST(QuorumLiveness, SigkilledDaemonIsQuorumConfirmedDeadWithinBound) {
 
   // The verdict still drives the restart path: the reincarnation comes
   // back up and is alive again in the directory.
-  const double deadline = steady_s() + 15.0;
-  while (steady_s() < deadline) {
+  const double deadline = common::steady_clock().now() + 15.0;
+  while (common::steady_clock().now() < deadline) {
     const auto status = watchdog.status(SiteId(1));
     if (status.up && status.incarnation == 2) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -539,8 +528,8 @@ TEST(QuorumLiveness, RpcEndpointIsFencedAcrossARestartRace) {
   // Once the death is declared the old port is withdrawn: rpc_endpoint
   // racing the restart must block until the NEW incarnation's first
   // beat and never hand back the stale port with a stale fence token.
-  const double deadline = steady_s() + 15.0;
-  while (steady_s() < deadline && down_events.load() == 0) {
+  const double deadline = common::steady_clock().now() + 15.0;
+  while (common::steady_clock().now() < deadline && down_events.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_GT(down_events.load(), 0) << "death never declared";

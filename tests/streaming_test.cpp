@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "netsim/chaos.hpp"
@@ -266,6 +267,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamBatchDifferential,
 struct FaultPlan {
   std::atomic<bool> dead{false};
   HostId victim;
+  /// The engines' clock: restart backoff sleeps virtually.
+  common::VirtualClock clock;
 
   FaultTolerance hooks() {
     FaultTolerance ft;
@@ -283,7 +286,6 @@ struct FaultPlan {
       e.site = SiteId(0);
       return e;
     };
-    ft.sleep = [](double) {};  // virtual backoff
     return ft;
   }
 };
@@ -321,7 +323,7 @@ TEST(StreamingEngine, ResumesFromTheLastCheckpointWindowAfterACrash) {
   };
   const FaultTolerance ft = plan.hooks();
   CheckpointStore store;
-  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+  StreamingEngine engine(tasklib::builtin_registry(), cfg, plan.clock);
 
   const auto run = engine.execute(graph, alloc, &ft, app, &store);
 
@@ -365,7 +367,7 @@ TEST(StreamingEngine, SinkCrashKeepsOneLatencySamplePerEmittedFrame) {
   };
   const FaultTolerance ft = plan.hooks();
   CheckpointStore store;
-  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+  StreamingEngine engine(tasklib::builtin_registry(), cfg, plan.clock);
 
   const auto run = engine.execute(graph, alloc, &ft, AppId(61), &store);
 
@@ -392,7 +394,7 @@ TEST(StreamingEngine, WithoutACheckpointStoreTheStreamReplaysFromZero) {
     if (k == 10) plan.dead.store(true, std::memory_order_relaxed);
   };
   const FaultTolerance ft = plan.hooks();
-  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+  StreamingEngine engine(tasklib::builtin_registry(), cfg, plan.clock);
 
   const auto run = engine.execute(graph, alloc, &ft, AppId(61));
 
@@ -455,7 +457,7 @@ TEST(StreamingEngine, FailureWithoutReschedulerThrowsAfterUnparking) {
   };
   FaultTolerance ft = plan.hooks();
   ft.reschedule = nullptr;  // detection without recovery
-  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+  StreamingEngine engine(tasklib::builtin_registry(), cfg, plan.clock);
 
   // Every stage must be unparked and joined before the throw; a hang
   // here is the bug this guards against.
@@ -530,9 +532,9 @@ TEST(StreamingChaos, HostCrashMidStreamResumesWithExactReconciliation) {
     }
     return std::nullopt;
   };
-  ft.sleep = [](double) {};
   CheckpointStore store;
-  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+  common::VirtualClock clock;  // restart backoff sleeps virtually
+  StreamingEngine engine(tasklib::builtin_registry(), cfg, clock);
 
   const std::uint64_t emitted0 = counter_value("streaming.frames_emitted");
   const std::uint64_t skipped0 = counter_value("streaming.frames_skipped");

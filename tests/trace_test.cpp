@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -351,9 +352,9 @@ TEST(EngineTraceTest, EveryAttemptBecomesADistinctSpan) {
   FaultTolerance ft;
   ft.reschedule = [](const afg::TaskNode&, const std::vector<HostId>&)
       -> std::optional<sched::AllocationEntry> { return std::nullopt; };
-  // Virtual sleep: record the naps instead of stalling the gang.
-  std::atomic<int> virtual_naps{0};
-  ft.sleep = [&virtual_naps](double) { ++virtual_naps; };
+  // Virtual sleep: the naps advance the clock instead of stalling the
+  // gang.
+  VirtualClock clock;
 
   TraceRecorder recorder;
   TraceRecorder::install(&recorder);
@@ -361,12 +362,12 @@ TEST(EngineTraceTest, EveryAttemptBecomesADistinctSpan) {
   config.retry_backoff_s = 0.001;
   config.attempt_timeout_s = 20.0;
   config.recv_timeout_s = 20.0;
-  ExecutionEngine engine(registry, config);
+  ExecutionEngine engine(registry, config, clock);
   const auto result = engine.execute(g, allocation, nullptr, nullptr, &ft);
   TraceRecorder::install(nullptr);
 
   EXPECT_EQ(result.failures_recovered, 2u);
-  EXPECT_GT(virtual_naps.load(), 0);
+  EXPECT_GT(clock.now(), 0.0);  // the engine napped
 
   std::size_t flaky_attempts = 0;
   std::size_t sink_attempts = 0;
@@ -436,8 +437,7 @@ TEST(EngineTraceTest, BackoffIsCappedCumulatively) {
   FaultTolerance ft;
   ft.reschedule = [](const afg::TaskNode&, const std::vector<HostId>&)
       -> std::optional<sched::AllocationEntry> { return std::nullopt; };
-  double total_slept = 0.0;
-  ft.sleep = [&total_slept](double s) { total_slept += s; };
+  VirtualClock clock;  // its reading is the total nap
 
   EngineConfig config;
   config.max_attempts = 5;
@@ -445,12 +445,12 @@ TEST(EngineTraceTest, BackoffIsCappedCumulatively) {
   config.max_total_backoff_s = 0.05;
   config.attempt_timeout_s = 20.0;
   config.recv_timeout_s = 20.0;
-  ExecutionEngine engine(registry, config);
+  ExecutionEngine engine(registry, config, clock);
   const auto result = engine.execute(g, allocation, nullptr, nullptr, &ft);
 
   EXPECT_EQ(result.records.at(0).attempts, 4);
-  EXPECT_LE(total_slept, config.max_total_backoff_s + 1e-12);
-  EXPECT_GT(total_slept, 0.0);
+  EXPECT_LE(clock.now(), config.max_total_backoff_s + 1e-12);
+  EXPECT_GT(clock.now(), 0.0);
 }
 
 }  // namespace
