@@ -90,8 +90,9 @@ void policy_comparison(bench::Vdce& v) {
     const double vdce_mean = totals.at("1_vdce") / kTrials;
     for (const auto& [policy, total] : totals) {
       const double mean = total / kTrials;
-      std::cout << to_string(family) << "," << policy.substr(policy.find('_') + 1) << ","
-                << std::fixed << std::setprecision(3) << mean << ","
+      std::cout << to_string(family) << ","
+                << policy.substr(policy.find('_') + 1) << "," << std::fixed
+                << std::setprecision(3) << mean << ","
                 << std::setprecision(2) << mean / vdce_mean << "x\n";
     }
   }

@@ -59,7 +59,8 @@ int main() {
   const auto tracks = result.outputs.at(*track_task).as_tracks();
   const auto threats = result.outputs.at(*rank_task).as_threats();
 
-  std::cout << "\ntracker holds " << tracks.size() << " tracks; top threats:\n";
+  std::cout << "\ntracker holds " << tracks.size()
+            << " tracks; top threats:\n";
   for (std::size_t i = 0; i < std::min<std::size_t>(3, threats.size()); ++i) {
     std::cout << "  track " << threats[i].track_id << " score "
               << threats[i].score << "\n";

@@ -101,7 +101,8 @@ const TaskNode& FlowGraph::task(TaskId id) const {
 
 TaskNode& FlowGraph::task(TaskId id) { return tasks_[index_of(id)]; }
 
-std::optional<TaskId> FlowGraph::find_by_label(const std::string& label) const {
+std::optional<TaskId> FlowGraph::find_by_label(
+    const std::string& label) const {
   const auto it = by_label_.find(label);
   if (it == by_label_.end()) return std::nullopt;
   return it->second;

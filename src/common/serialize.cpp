@@ -25,6 +25,14 @@ T load_be(const std::byte* p) {
   return v;
 }
 
+// Stores each double's big-endian bit pattern, back to back.
+void store_f64s(std::byte* p, std::span<const double> values) {
+  for (const double v : values) {
+    store_be(p, std::bit_cast<std::uint64_t>(v));
+    p += 8;
+  }
+}
+
 // Appends `v`'s bytes most-significant first.
 template <typename T>
 void put_be(std::vector<std::byte>& buf, T v) {
@@ -63,11 +71,24 @@ void WireWriter::write_f64_vector(std::span<const double> values) {
 void WireWriter::write_f64s(std::span<const double> values) {
   const std::size_t at = buf_.size();
   buf_.resize(at + values.size() * 8);
-  std::byte* p = buf_.data() + at;
-  for (const double v : values) {
-    store_be(p, std::bit_cast<std::uint64_t>(v));
-    p += 8;
+  store_f64s(buf_.data() + at, values);
+}
+
+std::byte* SpanWriter::claim(std::size_t n) {
+  if (n > out_.size() - pos_) {
+    throw StateError("SpanWriter: write past the end of the buffer");
   }
+  std::byte* p = out_.data() + pos_;
+  pos_ += n;
+  return p;
+}
+
+void SpanWriter::write_u8(std::uint8_t v) { *claim(1) = std::byte{v}; }
+
+void SpanWriter::write_u32(std::uint32_t v) { store_be(claim(4), v); }
+
+void SpanWriter::write_f64s(std::span<const double> values) {
+  store_f64s(claim(values.size() * 8), values);
 }
 
 std::uint8_t WireReader::read_u8() {

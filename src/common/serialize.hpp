@@ -59,6 +59,29 @@ class WireWriter {
   std::vector<std::byte> buf_;
 };
 
+/// Encoder into a caller-sized buffer: the same bytes as WireWriter's
+/// calls of the same names, with no allocation, for encoders that know
+/// their size up front (bulk payloads written straight into a pooled
+/// frame).  Throws StateError on a write past the buffer's end.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::byte> out) : out_(out) {}
+
+  void write_u8(std::uint8_t v);
+  void write_u32(std::uint32_t v);
+  /// A run of doubles with no length prefix.
+  void write_f64s(std::span<const double> values);
+
+  /// Bytes written so far.
+  [[nodiscard]] std::size_t size() const { return pos_; }
+
+ private:
+  [[nodiscard]] std::byte* claim(std::size_t n);
+
+  std::span<std::byte> out_;
+  std::size_t pos_ = 0;
+};
+
 /// Decoder over a byte span; throws ParseError on truncated input.
 class WireReader {
  public:
@@ -223,9 +246,10 @@ void write(WireWriter& w, const T& v) {
     std::vector<const typename T::value_type*> entries;
     entries.reserve(v.size());
     for (const auto& e : v) entries.push_back(&e);
-    std::sort(entries.begin(), entries.end(), [](const auto* a, const auto* b) {
-      return a->first < b->first;
-    });
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) {
+                return a->first < b->first;
+              });
     w.write_u32(static_cast<std::uint32_t>(entries.size()));
     for (const auto* e : entries) write(w, *e);
   } else {

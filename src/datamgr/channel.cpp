@@ -98,7 +98,8 @@ class InProcReceiver final : public Channel {
     return view->to_vector();
   }
 
-  std::optional<std::vector<std::byte>> receive_for(double timeout_s) override {
+  std::optional<std::vector<std::byte>> receive_for(
+      double timeout_s) override {
     auto view = receive_frame_for(timeout_s);
     if (!view) return std::nullopt;
     return view->to_vector();

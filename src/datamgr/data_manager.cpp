@@ -64,8 +64,8 @@ tasklib::Payload DataManager::run(const tasklib::TaskRegistry& registry,
             errors[i] = "input channel closed before delivering data";
             return;
           }
-          // One copy at the decode boundary: Payload owns its bytes.
-          received[i] = tasklib::Payload::from_wire(msg->data.bytes());
+          // The payload borrows the received frame: no copy.
+          received[i] = tasklib::Payload::from_wire(std::move(msg->data));
         } catch (const std::exception& e) {
           errors[i] = e.what();
         }
@@ -105,55 +105,45 @@ tasklib::Payload DataManager::run(const tasklib::TaskRegistry& registry,
   }
   if (console != nullptr) console->checkpoint();
 
-  // Send threads: replicate the output on every out-edge.  The wire
-  // image is serialized ONCE into a pooled frame that every link (and
-  // the checkpoint capture, via output_frame()) shares.
-  const std::size_t wire_n = output.wire_size();
+  // Send threads: replicate the output on every out-edge.  The output
+  // payload is its own pooled frame, which every link shares.
+  const FrameView& wire = output.wire();
+  const std::size_t wire_n = wire.size();
   std::vector<std::string> send_errors(outputs_.size());
-  if (library_ == MpLibrary::kPvm || outputs_.empty()) {
-    // PVM fragments the payload frame itself (no single envelope), and
-    // a sink task still builds the frame so the checkpoint can pin it.
-    Frame body = FramePool::global().allocate(wire_n);
-    output.write_wire(body.span());
-    const FrameView full = body.view();
-    {
-      std::vector<std::jthread> send_threads;
-      send_threads.reserve(outputs_.size());
-      for (std::size_t i = 0; i < outputs_.size(); ++i) {
-        send_threads.emplace_back([this, i, &full, &send_errors] {
-          try {
-            outputs_[i].send_frame(kPayloadTag, full);
-          } catch (const std::exception& e) {
-            send_errors[i] = e.what();
-          }
-        });
-      }
+  if (library_ == MpLibrary::kPvm) {
+    // PVM fragments the payload frame itself (no single envelope).
+    std::vector<std::jthread> send_threads;
+    send_threads.reserve(outputs_.size());
+    for (std::size_t i = 0; i < outputs_.size(); ++i) {
+      send_threads.emplace_back([this, i, &wire, &send_errors] {
+        try {
+          outputs_[i].send_frame(kPayloadTag, wire);
+        } catch (const std::exception& e) {
+          send_errors[i] = e.what();
+        }
+      });
     }
-    output_frame_ = full;
-    stats_.zero_copy_frames += outputs_.size();
-  } else {
-    // P4/MPI/NCS: one prepared envelope fans out to every child.  All
-    // output endpoints advance in lockstep (one payload message per
-    // link), so the sequence number prepare() wrote is right for each.
+  } else if (!outputs_.empty()) {
+    // P4/MPI/NCS: one prepared envelope, holding the one copy of the
+    // wire image, fans out to every child.  All output endpoints advance
+    // in lockstep (one payload message per link), so the sequence number
+    // prepare() wrote is right for each.
     PreparedFrame prep = outputs_.front().prepare(kPayloadTag, wire_n);
-    output.write_wire(prep.body());
+    std::ranges::copy(wire.bytes(), prep.body().begin());
     const FrameView full = prep.frame.view();
-    {
-      std::vector<std::jthread> send_threads;
-      send_threads.reserve(outputs_.size());
-      for (std::size_t i = 0; i < outputs_.size(); ++i) {
-        send_threads.emplace_back([this, i, &full, &send_errors] {
-          try {
-            outputs_[i].send_prepared(full);
-          } catch (const std::exception& e) {
-            send_errors[i] = e.what();
-          }
-        });
-      }
+    std::vector<std::jthread> send_threads;
+    send_threads.reserve(outputs_.size());
+    for (std::size_t i = 0; i < outputs_.size(); ++i) {
+      send_threads.emplace_back([this, i, &full, &send_errors] {
+        try {
+          outputs_[i].send_prepared(full);
+        } catch (const std::exception& e) {
+          send_errors[i] = e.what();
+        }
+      });
     }
-    output_frame_ = full.subview(prep.body_offset, wire_n);
-    stats_.zero_copy_frames += outputs_.size();
   }
+  stats_.zero_copy_frames += outputs_.size();
   for (const std::string& err : send_errors) {
     if (!err.empty()) {
       throw TransportError("task " + library_task + " send failed: " + err);

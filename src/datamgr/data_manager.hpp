@@ -87,14 +87,6 @@ class DataManager {
   [[nodiscard]] const ExecutionStats& stats() const { return stats_; }
   [[nodiscard]] MpLibrary library() const { return library_; }
 
-  /// The wire image (type tag + body) of the last run()'s output as a
-  /// pooled frame view — the very slab the send threads shipped, so a
-  /// checkpoint capture of it costs a refcount bump, not a copy.
-  /// Invalid before run() completes.
-  [[nodiscard]] const FrameView& output_frame() const {
-    return output_frame_;
-  }
-
  private:
   ChannelBroker* broker_;
   MpLibrary library_;
@@ -104,7 +96,6 @@ class DataManager {
   std::vector<MessageEndpoint> inputs_;   // one per parent, same order
   std::vector<MessageEndpoint> outputs_;  // one per child, same order
   ExecutionStats stats_;
-  FrameView output_frame_;
 };
 
 }  // namespace vdce::dm

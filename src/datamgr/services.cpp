@@ -39,7 +39,7 @@ void IoService::write_output(const std::filesystem::path& path,
                              const tasklib::Payload& payload) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw NotFoundError("cannot write output: " + path.string());
-  const auto wire = payload.to_wire();
+  const auto& wire = payload.wire();
   out.write(reinterpret_cast<const char*>(wire.data()),
             static_cast<std::streamsize>(wire.size()));
 }

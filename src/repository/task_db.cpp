@@ -109,9 +109,9 @@ void TaskPerformanceDb::record_measurement(const std::string& task_name,
   auto& hist = it->second.measured_history;
   hist.push_back(elapsed_s);
   if (hist.size() > kHistoryCapacity) {
-    hist.erase(hist.begin(),
-               hist.begin() +
-                   static_cast<std::ptrdiff_t>(hist.size() - kHistoryCapacity));
+    const auto excess =
+        static_cast<std::ptrdiff_t>(hist.size() - kHistoryCapacity);
+    hist.erase(hist.begin(), hist.begin() + excess);
   }
 }
 

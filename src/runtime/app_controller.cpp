@@ -72,7 +72,6 @@ TaskOutcome ApplicationController::execute(
   outcome.compute_elapsed_s =
       std::chrono::duration<double>(t1 - t0).count();
   outcome.completed = true;
-  outcome.output_frame = dm_.output_frame();
   outcome.io_stats = dm_.stats();
   return outcome;
 }

@@ -45,11 +45,10 @@ struct TaskOutcome {
   /// caller owns teardown (the engine's retry loop reuses or rebinds
   /// them; anyone else must call shutdown()).
   std::optional<RescheduleRequest> reschedule;
+  /// The output: a pooled frame, the very slab the Data Manager's send
+  /// threads shipped, so replaying or checkpointing it copies nothing
+  /// (D13).
   tasklib::Payload payload;
-  /// The output's wire image as a pooled frame view -- the same slab
-  /// the Data Manager's send threads shipped, handed to the checkpoint
-  /// store without another copy (D13).  Invalid on refusal paths.
-  dm::FrameView output_frame;
   /// Compute-phase wall time, seconds (what the Site Manager stores in
   /// the task-performance database).
   Duration compute_elapsed_s = 0.0;

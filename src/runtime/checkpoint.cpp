@@ -29,9 +29,7 @@ void CheckpointStore::record(AppId app, TaskId task, int attempt,
 void CheckpointStore::record(AppId app, TaskId task, int attempt,
                              HostId host, const tasklib::Payload& output,
                              Duration compute_s) {
-  const auto wire = output.to_wire();
-  record(app, task, attempt, host, dm::FramePool::global().copy_of(wire),
-         compute_s);
+  record(app, task, attempt, host, output.wire(), compute_s);
 }
 
 bool CheckpointStore::completed(AppId app, TaskId task) const {

@@ -78,8 +78,8 @@ class CheckpointStore {
   void record(AppId app, TaskId task, int attempt, HostId host,
               dm::FrameView frame, Duration compute_s);
 
-  /// Convenience: captures a payload by copying its wire image into a
-  /// pooled frame (tests and callers without a frame at hand).
+  /// Captures a payload: its pooled wire image, pinned by refcount, no
+  /// copy.
   void record(AppId app, TaskId task, int attempt, HostId host,
               const tasklib::Payload& output, Duration compute_s);
 

@@ -131,10 +131,10 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
       slot.attempts = entry->attempt;
       slot.outcome.completed = true;
       slot.outcome.compute_elapsed_s = entry->compute_s;
-      slot.outcome.payload = tasklib::Payload::from_wire(entry->frame.bytes());
-      // Keep the pinned frame: replay feeders send it zero-copy, and a
-      // re-capture below shares the same slab.
-      slot.outcome.output_frame = std::move(entry->frame);
+      // The payload pins the recorded frame: replay feeders send it
+      // zero-copy, and a re-capture below shares the same slab.
+      slot.outcome.payload =
+          tasklib::Payload::from_wire(std::move(entry->frame));
       --live_count;
     }
     if (live_count != slots.size()) {
@@ -247,11 +247,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
                 config_.library,
                 broker.open_send(dm::LinkKey{app, done, child}));
             const Slot& src = slots[slot_of.at(done)];
-            if (src.outcome.output_frame.valid()) {
-              out.send_frame(kPayloadTag, src.outcome.output_frame);
-            } else {
-              out.send(kPayloadTag, src.outcome.payload.to_wire());
-            }
+            out.send_frame(kPayloadTag, src.outcome.payload.wire());
             out.close();
           } catch (const std::exception&) {
             // The consuming task's own receive error is authoritative.
@@ -514,11 +510,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
                     config_.library,
                     broker.open_send(dm::LinkKey{app, parent, task}));
                 const Slot& src = slots[slot_of.at(parent)];
-                if (src.outcome.output_frame.valid()) {
-                  out.send_frame(kPayloadTag, src.outcome.output_frame);
-                } else {
-                  out.send(kPayloadTag, src.outcome.payload.to_wire());
-                }
+                out.send_frame(kPayloadTag, src.outcome.payload.wire());
                 out.close();
               } catch (const std::exception&) {
                 // The attempt's own receive error is authoritative.
@@ -588,19 +580,12 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
           !slot.outcome.completed || slot.outcome.reschedule) {
         continue;
       }
-      if (slot.outcome.output_frame.valid()) {
-        // Zero-copy capture: the store pins the very frame the send
-        // threads shipped.
-        checkpoint->record(app, slot.node->id, slot.attempts, slot.host,
-                           slot.outcome.output_frame,
-                           slot.outcome.compute_elapsed_s);
-        m_ckpt_bytes.add(slot.outcome.output_frame.size());
-      } else {
-        checkpoint->record(app, slot.node->id, slot.attempts, slot.host,
-                           slot.outcome.payload,
-                           slot.outcome.compute_elapsed_s);
-        m_ckpt_bytes.add(slot.outcome.payload.to_wire().size());
-      }
+      // Zero-copy capture: the store pins the very frame the send
+      // threads shipped.
+      checkpoint->record(app, slot.node->id, slot.attempts, slot.host,
+                         slot.outcome.payload,
+                         slot.outcome.compute_elapsed_s);
+      m_ckpt_bytes.add(slot.outcome.payload.wire_size());
       m_ckpt_captured.add(1);
     }
   }

@@ -83,13 +83,16 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
   //   u64 watermark (== frames_emitted)   u64 digest   u64 bytes
   //   u32 retained-output count, then each output length-prefixed.
   const auto encode_sink = [&](const SinkStreamResult& r) {
-    common::WireWriter w;
-    w.write_u64(r.frames_emitted);
-    w.write_u64(r.digest);
-    w.write_u64(r.bytes_emitted);
     const std::uint32_t kept =
         config_.collect_outputs ? static_cast<std::uint32_t>(r.outputs.size())
                                 : 0;
+    std::size_t size = 3 * 8 + 4;
+    for (std::uint32_t i = 0; i < kept; ++i) size += 4 + r.outputs[i].size();
+    common::WireWriter w;
+    w.reserve(size);
+    w.write_u64(r.frames_emitted);
+    w.write_u64(r.digest);
+    w.write_u64(r.bytes_emitted);
     w.write_u32(kept);
     for (std::uint32_t i = 0; i < kept; ++i) w.write_bytes(r.outputs[i]);
     return dm::FramePool::global().copy_of(w.bytes());
@@ -251,7 +254,6 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
           }
           // One window per parent, in input-port order — the same
           // input vector the batch engine would assemble.
-          inputs.clear();
           bool eos = false;
           for (const auto& in : in_rings) {
             auto fv = in->pop_for(config_.recv_timeout_s);
@@ -259,7 +261,8 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
               eos = true;
               break;
             }
-            inputs.push_back(tasklib::Payload::from_wire(fv->bytes()));
+            // Borrow the popped frame: the payload is that frame.
+            inputs.push_back(tasklib::Payload::from_wire(std::move(*fv)));
           }
           if (eos) break;
 
@@ -271,6 +274,9 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
           ctx.rng = &rng;
           tasklib::Payload out =
               registry_->run(node.library_task, inputs, ctx);
+          // Release the input frames before a push can park on a full
+          // ring, so parked stages pin no more slabs than they must.
+          inputs.clear();
           ++processed;
 
           if (is_source && config_.track_latency) {
@@ -314,14 +320,10 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
               }
             }
           } else {
-            // Encode once into a pooled frame; fan-out shares the slab
-            // by refcount, and a full downstream ring parks us here —
-            // the backpressure that keeps memory flat.
-            dm::Frame frame =
-                dm::FramePool::global().allocate(out.wire_size());
-            out.write_wire(frame.span());
-            const dm::FrameView view = frame.view();
-            for (const auto& o : out_rings) o->push(view);
+            // The output payload is already its pooled frame; fan-out
+            // shares the slab by refcount, and a full downstream ring
+            // parks us here -- the backpressure that keeps memory flat.
+            for (const auto& o : out_rings) o->push(out.wire());
           }
           ++k;
         }

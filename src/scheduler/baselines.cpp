@@ -84,7 +84,8 @@ AllocationTable RandomScheduler::schedule(const afg::FlowGraph& graph) {
 
 // ----------------------------------------------------------- round robin
 
-RoundRobinScheduler::RoundRobinScheduler(const repo::SiteRepository& repository)
+RoundRobinScheduler::RoundRobinScheduler(
+    const repo::SiteRepository& repository)
     : repo_(&repository), predictor_(repository) {}
 
 AllocationTable RoundRobinScheduler::schedule(const afg::FlowGraph& graph) {

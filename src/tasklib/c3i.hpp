@@ -131,9 +131,8 @@ struct Threat {
 /// Ranks tracks by threat against a defended point: score combines
 /// inverse distance and closing speed.  Highest score first; ties broken
 /// by track id.
-[[nodiscard]] std::vector<Threat> rank_threats(const std::vector<Track>& tracks,
-                                               double defended_x,
-                                               double defended_y);
+[[nodiscard]] std::vector<Threat> rank_threats(
+    const std::vector<Track>& tracks, double defended_x, double defended_y);
 
 /// Multi-sensor fusion: merges two scan streams scan-by-scan, combining
 /// reports within `merge_radius_km` of each other into one averaged

@@ -75,29 +75,20 @@ const FftPlan& plan_for(std::size_t log2n) {
   return *plans[log2n];
 }
 
-}  // namespace
-
-void fft_inplace(std::vector<Complex>& data, bool inverse) {
-  const std::size_t n = data.size();
+// The plan for an n-point transform (n a power of two, at most 2^32).
+const FftPlan& checked_plan(std::size_t n) {
   expects(is_pow2(n), "FFT size must be a power of two");
   expects(n <= (std::size_t{1} << 32), "FFT size exceeds 2^32");
-  const FftPlan& plan =
-      plan_for(static_cast<std::size_t>(std::countr_zero(n)));
+  return plan_for(static_cast<std::size_t>(std::countr_zero(n)));
+}
 
-  // Split re/im scratch, filled in bit-reversed order.
-  thread_local std::vector<double> scratch;
-  if (scratch.size() < 2 * n) scratch.resize(2 * n);
-  double* const re = scratch.data();
-  double* const im = re + n;
-  for (std::size_t i = 0; i < n; ++i) {
-    re[i] = data[plan.bitrev[i]].real();
-    im[i] = data[plan.bitrev[i]].imag();
-  }
-
-  // Butterfly passes.  v = x * w and u +/- v are spelled out as the
-  // real operations std::complex performs, in the same order, so the
-  // results are bit-identical to the complex arithmetic (for finite
-  // products; std::complex would recompute a NaN product).
+// Butterfly passes over split re/im arrays already in bit-reversed
+// order.  v = x * w and u +/- v are spelled out as the real operations
+// std::complex performs, in the same order, so the results are
+// bit-identical to the complex arithmetic (for finite products;
+// std::complex would recompute a NaN product).
+void butterflies(double* const re, double* const im, std::size_t n,
+                 const FftPlan& plan, bool inverse) {
   const double* const tw_re =
       inverse ? plan.inv_re.data() : plan.fwd_re.data();
   const double* const tw_im =
@@ -122,7 +113,24 @@ void fft_inplace(std::vector<Complex>& data, bool inverse) {
       }
     }
   }
+}
 
+}  // namespace
+
+void fft_inplace(std::vector<Complex>& data, bool inverse) {
+  const std::size_t n = data.size();
+  const FftPlan& plan = checked_plan(n);
+
+  // Split re/im scratch, filled in bit-reversed order.
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < 2 * n) scratch.resize(2 * n);
+  double* const re = scratch.data();
+  double* const im = re + n;
+  for (std::size_t i = 0; i < n; ++i) {
+    re[i] = data[plan.bitrev[i]].real();
+    im[i] = data[plan.bitrev[i]].imag();
+  }
+  butterflies(re, im, n, plan, inverse);
   if (inverse) {
     const double scale = 1.0 / static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -154,10 +162,34 @@ std::vector<Complex> fft_real(const std::vector<double>& data) {
 }
 
 std::vector<double> power_spectrum(const std::vector<double>& signal) {
-  const auto spec = fft_real(signal);
-  std::vector<double> out(spec.size());
-  for (std::size_t i = 0; i < spec.size(); ++i) out[i] = std::norm(spec[i]);
+  std::vector<double> out;
+  power_spectrum_into(signal, out);
   return out;
+}
+
+void power_spectrum_into(std::span<const double> signal,
+                         std::vector<double>& out) {
+  expects(!signal.empty(), "fft_real of empty signal");
+  const std::size_t n = next_pow2(signal.size());
+  const FftPlan& plan = checked_plan(n);
+  // fft_real's transform without its complex buffer: the zero-padded
+  // real input goes straight into the split scratch in bit-reversed
+  // order.
+  thread_local std::vector<double> scratch;
+  std::vector<double> bulk;
+  std::vector<double>& buf = n <= kSpectrumScratchPoints ? scratch : bulk;
+  if (buf.size() < 2 * n) buf.resize(2 * n);
+  double* const re = buf.data();
+  double* const im = re + n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = plan.bitrev[i];
+    re[i] = j < signal.size() ? signal[j] : 0.0;
+    im[i] = 0.0;
+  }
+  butterflies(re, im, n, plan, /*inverse=*/false);
+  // std::norm, spelled out: re^2 + im^2.
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = re[i] * re[i] + im[i] * im[i];
 }
 
 std::vector<double> lowpass_filter(const std::vector<double>& signal,

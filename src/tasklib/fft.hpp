@@ -3,6 +3,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace vdce::tasklib {
@@ -24,9 +25,20 @@ void fft_inplace(std::vector<Complex>& data, bool inverse = false);
 /// next power of two with zeros.
 [[nodiscard]] std::vector<Complex> fft_real(const std::vector<double>& data);
 
-/// |X_k|^2 for each bin of the forward transform of a real signal.
+/// |X_k|^2 for each bin of the forward transform of a real signal
+/// (zero-padded to the next power of two).
 [[nodiscard]] std::vector<double> power_spectrum(
     const std::vector<double>& signal);
+
+/// power_spectrum() into `out`, reusing its capacity.  Windows up to
+/// kSpectrumScratchPoints points transform in a per-thread scratch, so
+/// a steady stream of them allocates nothing; longer ones use a
+/// temporary, so no thread keeps a bulk-sized buffer alive.
+void power_spectrum_into(std::span<const double> signal,
+                         std::vector<double>& out);
+
+/// Largest transform power_spectrum_into() runs in per-thread scratch.
+inline constexpr std::size_t kSpectrumScratchPoints = 4096;
 
 /// Circular convolution of two equal-length power-of-two sequences via
 /// the convolution theorem.

@@ -130,7 +130,8 @@ std::vector<double> back_substitute(const Matrix& lu,
   return x;
 }
 
-std::vector<double> lu_solve(const LuFactors& f, const std::vector<double>& b) {
+std::vector<double> lu_solve(const LuFactors& f,
+                             const std::vector<double>& b) {
   expects(f.lu.rows() == b.size(), "lu_solve size mismatch");
   // Apply the row permutation to b, then two triangular solves.
   std::vector<double> pb(b.size());

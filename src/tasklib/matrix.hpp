@@ -91,8 +91,8 @@ struct LuFactors {
     const Matrix& lu, const std::vector<double>& b);
 
 /// Solves U x = y where U is the packed upper factor.
-[[nodiscard]] std::vector<double> back_substitute(const Matrix& lu,
-                                                  const std::vector<double>& y);
+[[nodiscard]] std::vector<double> back_substitute(
+    const Matrix& lu, const std::vector<double>& y);
 
 /// Cholesky factorisation A = L L^T of a symmetric positive-definite
 /// matrix; returns the lower factor.  Throws StateError if A is not

@@ -6,6 +6,7 @@
 namespace vdce::tasklib {
 
 using common::ParseError;
+using common::SpanWriter;
 using common::StateError;
 using common::WireReader;
 using common::WireWriter;
@@ -45,6 +46,37 @@ void require_cells(const WireReader& r, std::size_t cells) {
   }
 }
 
+// A pooled frame for a payload of `body` bytes with its tag byte
+// written, and a writer positioned after the tag.
+struct TaggedFrame {
+  TaggedFrame(PayloadType type, std::size_t body)
+      : frame(dm::FramePool::global().allocate(body + 1)),
+        writer(frame.span()) {
+    writer.write_u8(static_cast<std::uint8_t>(type));
+  }
+  dm::Frame frame;
+  SpanWriter writer;
+};
+
+// A WireWriter whose first byte is the tag: its bytes are a whole wire
+// image, copied into a pooled frame once.
+WireWriter tagged_writer(PayloadType type) {
+  WireWriter w;
+  w.write_u8(static_cast<std::uint8_t>(type));
+  return w;
+}
+
+// The tag of a wire image; throws ParseError when there is none.
+PayloadType tag_of(std::span<const std::byte> wire) {
+  if (wire.empty()) throw ParseError("empty payload wire image");
+  const auto tag = static_cast<std::uint8_t>(wire.front());
+  if (tag < static_cast<std::uint8_t>(PayloadType::kScalar) ||
+      tag > static_cast<std::uint8_t>(PayloadType::kText)) {
+    throw ParseError("unknown payload type tag");
+  }
+  return static_cast<PayloadType>(tag);
+}
+
 }  // namespace
 
 void Payload::require(PayloadType t) const {
@@ -54,122 +86,119 @@ void Payload::require(PayloadType t) const {
   }
 }
 
-Payload Payload::of_scalar(double v) {
-  WireWriter w;
-  w.write_f64(v);
-  return Payload(PayloadType::kScalar, w.take());
+const dm::FrameView& Payload::empty_wire() {
+  // Leaked: payloads may outlive static destruction on detached threads.
+  static const dm::FrameView* const empty = [] {
+    const std::byte tag{static_cast<std::uint8_t>(PayloadType::kScalar)};
+    return new dm::FrameView(dm::FramePool::global().copy_of({&tag, 1}));
+  }();
+  return *empty;
 }
 
-Payload Payload::of_vector(const std::vector<double>& v) {
-  WireWriter w;
-  w.write_f64_vector(v);
-  return Payload(PayloadType::kVector, w.take());
+Payload Payload::of_scalar(double v) {
+  TaggedFrame t(PayloadType::kScalar, 8);
+  t.writer.write_f64s({&v, 1});
+  return Payload(PayloadType::kScalar, t.frame.view());
+}
+
+Payload Payload::of_vector(std::span<const double> v) {
+  TaggedFrame t(PayloadType::kVector, 4 + v.size() * 8);
+  t.writer.write_u32(static_cast<std::uint32_t>(v.size()));
+  t.writer.write_f64s(v);
+  return Payload(PayloadType::kVector, t.frame.view());
 }
 
 Payload Payload::of_matrix(const Matrix& m) {
-  WireWriter w;
-  w.reserve(8 + m.data().size() * 8);
-  w.write_u32(static_cast<std::uint32_t>(m.rows()));
-  w.write_u32(static_cast<std::uint32_t>(m.cols()));
-  w.write_f64s(m.data());
-  return Payload(PayloadType::kMatrix, w.take());
+  TaggedFrame t(PayloadType::kMatrix, 8 + m.data().size() * 8);
+  t.writer.write_u32(static_cast<std::uint32_t>(m.rows()));
+  t.writer.write_u32(static_cast<std::uint32_t>(m.cols()));
+  t.writer.write_f64s(m.data());
+  return Payload(PayloadType::kMatrix, t.frame.view());
 }
 
 Payload Payload::of_lu(const LuFactors& f) {
-  WireWriter w;
-  w.reserve(4 + f.lu.data().size() * 8 + f.perm.size() * 4 + 1);
-  w.write_u32(static_cast<std::uint32_t>(f.lu.rows()));
-  w.write_f64s(f.lu.data());
-  for (std::size_t p : f.perm) w.write_u32(static_cast<std::uint32_t>(p));
-  w.write_u8(f.perm_sign > 0 ? 1 : 0);
-  return Payload(PayloadType::kLuFactors, w.take());
+  TaggedFrame t(PayloadType::kLuFactors,
+                4 + f.lu.data().size() * 8 + f.perm.size() * 4 + 1);
+  t.writer.write_u32(static_cast<std::uint32_t>(f.lu.rows()));
+  t.writer.write_f64s(f.lu.data());
+  for (std::size_t p : f.perm) {
+    t.writer.write_u32(static_cast<std::uint32_t>(p));
+  }
+  t.writer.write_u8(f.perm_sign > 0 ? 1 : 0);
+  return Payload(PayloadType::kLuFactors, t.frame.view());
 }
 
 Payload Payload::of_complex_vector(const std::vector<Complex>& v) {
-  WireWriter w;
-  w.reserve(4 + v.size() * 16);
-  w.write_u32(static_cast<std::uint32_t>(v.size()));
-  w.write_f64s(as_doubles(v));
-  return Payload(PayloadType::kComplexVector, w.take());
+  TaggedFrame t(PayloadType::kComplexVector, 4 + v.size() * 16);
+  t.writer.write_u32(static_cast<std::uint32_t>(v.size()));
+  t.writer.write_f64s(as_doubles(v));
+  return Payload(PayloadType::kComplexVector, t.frame.view());
 }
 
 Payload Payload::of_report_scans(
     const std::vector<std::vector<SensorReport>>& scans) {
-  WireWriter w;
+  WireWriter w = tagged_writer(PayloadType::kReportScans);
   common::write(w, scans);
-  return Payload(PayloadType::kReportScans, w.take());
+  return from_wire(w.bytes());
 }
 
 Payload Payload::of_detection_scans(
     const std::vector<std::vector<Detection>>& scans) {
-  WireWriter w;
+  WireWriter w = tagged_writer(PayloadType::kDetectionScans);
   common::write(w, scans);
-  return Payload(PayloadType::kDetectionScans, w.take());
+  return from_wire(w.bytes());
 }
 
 Payload Payload::of_tracks(const std::vector<Track>& tracks) {
-  WireWriter w;
+  WireWriter w = tagged_writer(PayloadType::kTracks);
   common::write(w, tracks);
-  return Payload(PayloadType::kTracks, w.take());
+  return from_wire(w.bytes());
 }
 
 Payload Payload::of_threats(const std::vector<Threat>& threats) {
-  WireWriter w;
+  WireWriter w = tagged_writer(PayloadType::kThreats);
   common::write(w, threats);
-  return Payload(PayloadType::kThreats, w.take());
+  return from_wire(w.bytes());
 }
 
 Payload Payload::of_text(const std::string& text) {
-  WireWriter w;
+  WireWriter w = tagged_writer(PayloadType::kText);
   w.write_string(text);
-  return Payload(PayloadType::kText, w.take());
+  return from_wire(w.bytes());
 }
 
-std::vector<std::byte> Payload::to_wire() const {
-  std::vector<std::byte> out;
-  out.reserve(bytes_.size() + 1);
-  out.push_back(std::byte{static_cast<std::uint8_t>(type_)});
-  out.insert(out.end(), bytes_.begin(), bytes_.end());
-  return out;
-}
-
-void Payload::write_wire(std::span<std::byte> out) const {
-  if (out.size() != wire_size()) {
-    throw StateError("write_wire buffer size mismatch");
-  }
-  out[0] = std::byte{static_cast<std::uint8_t>(type_)};
-  if (!bytes_.empty()) {
-    std::memcpy(out.data() + 1, bytes_.data(), bytes_.size());
-  }
+Payload Payload::from_wire(dm::FrameView wire) {
+  const PayloadType type = tag_of(wire.bytes());
+  return Payload(type, std::move(wire));
 }
 
 Payload Payload::from_wire(std::span<const std::byte> wire) {
-  if (wire.empty()) throw ParseError("empty payload wire image");
-  const auto tag = static_cast<std::uint8_t>(wire.front());
-  if (tag < static_cast<std::uint8_t>(PayloadType::kScalar) ||
-      tag > static_cast<std::uint8_t>(PayloadType::kText)) {
-    throw ParseError("unknown payload type tag");
-  }
-  const auto body = wire.subspan(1);
-  return Payload(static_cast<PayloadType>(tag),
-                 std::vector<std::byte>(body.begin(), body.end()));
+  const PayloadType type = tag_of(wire);
+  return Payload(type, dm::FramePool::global().copy_of(wire));
 }
 
 double Payload::as_scalar() const {
   require(PayloadType::kScalar);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   return r.read_f64();
 }
 
 std::vector<double> Payload::as_vector() const {
+  std::vector<double> out;
+  vector_into(out);
+  return out;
+}
+
+void Payload::vector_into(std::vector<double>& out) const {
   require(PayloadType::kVector);
-  WireReader r(bytes_);
-  return r.read_f64_vector();
+  WireReader r(bytes());
+  out.resize(r.read_count(8));
+  r.read_f64s(out);
 }
 
 Matrix Payload::as_matrix() const {
   require(PayloadType::kMatrix);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   const std::uint32_t rows = r.read_u32();
   const std::uint32_t cols = r.read_u32();
   require_cells(r, std::size_t{rows} * cols);
@@ -180,7 +209,7 @@ Matrix Payload::as_matrix() const {
 
 LuFactors Payload::as_lu() const {
   require(PayloadType::kLuFactors);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   const std::uint32_t n = r.read_u32();
   require_cells(r, std::size_t{n} * n);
   LuFactors f;
@@ -194,7 +223,7 @@ LuFactors Payload::as_lu() const {
 
 std::vector<Complex> Payload::as_complex_vector() const {
   require(PayloadType::kComplexVector);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   std::vector<Complex> out(r.read_count(16));
   r.read_f64s(as_doubles(out));
   return out;
@@ -202,31 +231,31 @@ std::vector<Complex> Payload::as_complex_vector() const {
 
 std::vector<std::vector<SensorReport>> Payload::as_report_scans() const {
   require(PayloadType::kReportScans);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   return common::read<std::vector<std::vector<SensorReport>>>(r);
 }
 
 std::vector<std::vector<Detection>> Payload::as_detection_scans() const {
   require(PayloadType::kDetectionScans);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   return common::read<std::vector<std::vector<Detection>>>(r);
 }
 
 std::vector<Track> Payload::as_tracks() const {
   require(PayloadType::kTracks);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   return common::read<std::vector<Track>>(r);
 }
 
 std::vector<Threat> Payload::as_threats() const {
   require(PayloadType::kThreats);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   return common::read<std::vector<Threat>>(r);
 }
 
 std::string Payload::as_text() const {
   require(PayloadType::kText);
-  WireReader r(bytes_);
+  WireReader r(bytes());
   return r.read_string();
 }
 

@@ -6,6 +6,10 @@
 // application execution environment includes heterogeneous machines".
 // Payloads are tagged so a consumer detects a mis-wired graph instead of
 // misinterpreting bytes.
+//
+// A Payload is its wire image in a pooled frame: the producing task
+// encodes into the frame once, and channels, stream rings and the
+// checkpoint store share that frame by refcount (DESIGN.md D13).
 #pragma once
 
 #include <cstddef>
@@ -13,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "datamgr/frame.hpp"
 #include "tasklib/c3i.hpp"
 #include "tasklib/fft.hpp"
 #include "tasklib/matrix.hpp"
@@ -34,23 +39,34 @@ enum class PayloadType : std::uint8_t {
 
 [[nodiscard]] std::string to_string(PayloadType t);
 
-/// An immutable, typed, wire-encoded value.
+/// An immutable, typed, wire-encoded value: its full wire image (type
+/// tag + body) in one pooled frame (DESIGN.md D13).  Copies share the
+/// frame by refcount; no copy of a payload moves its bytes.
 class Payload {
  public:
   Payload() = default;
 
   [[nodiscard]] PayloadType type() const { return type_; }
-  [[nodiscard]] const std::vector<std::byte>& bytes() const { return bytes_; }
+  /// The encoded body (the wire image without its tag byte).
+  [[nodiscard]] std::span<const std::byte> bytes() const {
+    return wire().bytes().subspan(1);
+  }
   /// Encoded size in bytes (what travels over a channel).
-  [[nodiscard]] std::size_t size_bytes() const { return bytes_.size(); }
+  [[nodiscard]] std::size_t size_bytes() const { return wire_size() - 1; }
   /// Encoded size in MB, as used by transfer-time models.
   [[nodiscard]] double size_mb() const {
-    return static_cast<double>(bytes_.size()) / (1024.0 * 1024.0);
+    return static_cast<double>(size_bytes()) / (1024.0 * 1024.0);
   }
 
   // -- constructors ------------------------------------------------------
+  // The bulk ones (scalar, vector, matrix, LU, complex vector) encode
+  // straight into one pooled frame; the record ones encode through a
+  // WireWriter and copy its bytes into a frame once.
   [[nodiscard]] static Payload of_scalar(double v);
-  [[nodiscard]] static Payload of_vector(const std::vector<double>& v);
+  [[nodiscard]] static Payload of_vector(std::span<const double> v);
+  [[nodiscard]] static Payload of_vector(const std::vector<double>& v) {
+    return of_vector(std::span<const double>(v));
+  }
   [[nodiscard]] static Payload of_matrix(const Matrix& m);
   [[nodiscard]] static Payload of_lu(const LuFactors& f);
   [[nodiscard]] static Payload of_complex_vector(
@@ -63,25 +79,34 @@ class Payload {
   [[nodiscard]] static Payload of_threats(const std::vector<Threat>& threats);
   [[nodiscard]] static Payload of_text(const std::string& text);
 
+  /// Borrows a pooled wire image (type tag included): checks the tag and
+  /// keeps the frame, copying nothing.  Throws ParseError on an empty or
+  /// invalid view and on an unknown tag.
+  [[nodiscard]] static Payload from_wire(dm::FrameView wire);
   /// Reconstructs a payload from raw channel bytes (type tag included),
-  /// copying the body once.  Throws ParseError on malformed input.
+  /// copying them into a pooled frame.  Throws ParseError as above.
   [[nodiscard]] static Payload from_wire(std::span<const std::byte> wire);
 
-  /// The full wire image (type tag + body) to put on a channel.
-  [[nodiscard]] std::vector<std::byte> to_wire() const;
+  /// The full wire image (type tag + body) to put on a channel: the
+  /// payload's own frame, shared by refcount when copied.
+  [[nodiscard]] const dm::FrameView& wire() const {
+    return wire_.valid() ? wire_ : empty_wire();
+  }
+
+  /// A copy of the full wire image.
+  [[nodiscard]] std::vector<std::byte> to_wire() const {
+    return wire().to_vector();
+  }
 
   /// Size of the full wire image in bytes (1 tag byte + body).
-  [[nodiscard]] std::size_t wire_size() const { return bytes_.size() + 1; }
-
-  /// Serializes the full wire image into a caller-provided buffer of
-  /// exactly wire_size() bytes — the allocation-free variant of
-  /// to_wire() used to fill pooled frames.  Throws StateError on a
-  /// size mismatch.
-  void write_wire(std::span<std::byte> out) const;
+  [[nodiscard]] std::size_t wire_size() const { return wire().size(); }
 
   // -- accessors (throw StateError on a type mismatch) -------------------
   [[nodiscard]] double as_scalar() const;
   [[nodiscard]] std::vector<double> as_vector() const;
+  /// as_vector() into `out`, reusing its capacity: no allocation once
+  /// `out` has held a vector this long.
+  void vector_into(std::vector<double>& out) const;
   [[nodiscard]] Matrix as_matrix() const;
   [[nodiscard]] LuFactors as_lu() const;
   [[nodiscard]] std::vector<Complex> as_complex_vector() const;
@@ -92,13 +117,16 @@ class Payload {
   [[nodiscard]] std::string as_text() const;
 
  private:
-  Payload(PayloadType type, std::vector<std::byte> bytes)
-      : type_(type), bytes_(std::move(bytes)) {}
+  Payload(PayloadType type, dm::FrameView wire)
+      : type_(type), wire_(std::move(wire)) {}
 
   void require(PayloadType t) const;
+  [[nodiscard]] static const dm::FrameView& empty_wire();
 
   PayloadType type_ = PayloadType::kScalar;
-  std::vector<std::byte> bytes_;
+  // Invalid only in a default-constructed payload, whose wire() is a
+  // shared one-byte image: an empty scalar.
+  dm::FrameView wire_;
 };
 
 }  // namespace vdce::tasklib

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "tasklib/registry.hpp"
@@ -37,6 +38,12 @@ namespace vdce::tasklib {
 [[nodiscard]] std::vector<double> rational_resample(
     const std::vector<double>& signal, unsigned up, unsigned down,
     std::size_t taps = 48);
+
+/// rational_resample() into `out`, reusing its capacity: `out` ends up
+/// holding exactly the output, bit-identical to rational_resample()'s.
+void rational_resample_into(std::span<const double> signal, unsigned up,
+                            unsigned down, std::size_t taps,
+                            std::vector<double>& out);
 
 /// Registers the "streaming" menu into `r`.
 void register_streaming_menu(TaskRegistry& r);

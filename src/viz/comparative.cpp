@@ -22,7 +22,9 @@ std::string ComparativeViz::best() const {
   if (runs_.empty()) return {};
   const auto it = std::min_element(
       runs_.begin(), runs_.end(),
-      [](const Entry& a, const Entry& b) { return a.makespan_s < b.makespan_s; });
+      [](const Entry& a, const Entry& b) {
+        return a.makespan_s < b.makespan_s;
+      });
   return it->label;
 }
 

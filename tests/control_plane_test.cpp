@@ -30,6 +30,7 @@
 #include "daemon/client.hpp"
 #include "daemon/site_daemon.hpp"
 #include "datamgr/channel.hpp"
+#include "datamgr/frame.hpp"
 #include "datamgr/tcp.hpp"
 #include "netsim/chaos.hpp"
 #include "netsim/testbed.hpp"
@@ -45,6 +46,7 @@
 #include "runtime/wire.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
+#include "tasklib/payload.hpp"
 #include "tasklib/registry.hpp"
 
 namespace vdce::rt {
@@ -558,6 +560,74 @@ TEST(WireFormat, GarbagePayloadsNeverEscapeParseError) {
       }
     }
   });
+
+  // Task payloads under the same garbage, fed to both from_wire
+  // overloads (the copying span one and the borrowing FrameView one):
+  // each image decodes through its type's accessor or throws
+  // ParseError, and the two overloads agree on which.
+  const auto decode_payload = [](const tasklib::Payload& p) {
+    using tasklib::PayloadType;
+    switch (p.type()) {
+      case PayloadType::kScalar:
+        (void)p.as_scalar();
+        break;
+      case PayloadType::kVector:
+        (void)p.as_vector();
+        break;
+      case PayloadType::kMatrix:
+        (void)p.as_matrix();
+        break;
+      case PayloadType::kLuFactors:
+        (void)p.as_lu();
+        break;
+      case PayloadType::kComplexVector:
+        (void)p.as_complex_vector();
+        break;
+      case PayloadType::kReportScans:
+        (void)p.as_report_scans();
+        break;
+      case PayloadType::kDetectionScans:
+        (void)p.as_detection_scans();
+        break;
+      case PayloadType::kTracks:
+        (void)p.as_tracks();
+        break;
+      case PayloadType::kThreats:
+        (void)p.as_threats();
+        break;
+      case PayloadType::kText:
+        (void)p.as_text();
+        break;
+    }
+  };
+  const auto parses = [&](auto make) {
+    try {
+      decode_payload(make());
+      return true;
+    } catch (const ParseError&) {
+      return false;  // the only acceptable failure mode
+    }
+  };
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::byte> image;
+    const std::size_t len = rng.uniform_int(64);
+    for (std::size_t b = 0; b < len; ++b) {
+      image.push_back(
+          std::byte{static_cast<std::uint8_t>(rng.uniform_int(256))});
+    }
+    // A known tag most of the time, so the bodies reach the decoders.
+    if (!image.empty() && rng.uniform_int(4) != 0) {
+      image[0] = std::byte{static_cast<std::uint8_t>(1 + rng.uniform_int(10))};
+    }
+    const bool copied = parses([&] {
+      return tasklib::Payload::from_wire(std::span<const std::byte>(image));
+    });
+    const bool borrowed = parses([&] {
+      return tasklib::Payload::from_wire(
+          dm::FramePool::global().copy_of(image));
+    });
+    EXPECT_EQ(copied, borrowed) << "image " << i;
+  }
 }
 
 // ------------------------------------------------- wire v1 golden bytes
@@ -788,7 +858,9 @@ struct RecordingSink final : ControlSink {
   std::vector<NetworkMeasurement> network;
   std::vector<RescheduleRequest> reschedules;
 
-  void on_workload(const WorkloadUpdate& u) override { workloads.push_back(u); }
+  void on_workload(const WorkloadUpdate& u) override {
+    workloads.push_back(u);
+  }
   void on_liveness(const LivenessChange& c) override { liveness.push_back(c); }
   void on_network(const NetworkMeasurement& m) override {
     network.push_back(m);

@@ -197,7 +197,8 @@ TEST(RestartBackoff, JitteredScheduleIsPinnedForAFixedSeed) {
   for (const std::uint32_t site : {0u, 1u, 2u}) {
     for (std::size_t index = 0; index < 4; ++index) {
       const double base = 0.05 * std::pow(2.0, static_cast<double>(index));
-      const double got = Watchdog::restart_backoff(config, SiteId(site), index);
+      const double got =
+          Watchdog::restart_backoff(config, SiteId(site), index);
       // Deterministic: the same (seed, site, index) always yields the
       // same wait, inside [base, base * (1 + jitter)).
       EXPECT_EQ(got, Watchdog::restart_backoff(config, SiteId(site), index));

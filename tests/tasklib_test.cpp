@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "datamgr/frame.hpp"
 #include "tasklib/c3i.hpp"
 #include "tasklib/fft.hpp"
 #include "tasklib/matrix.hpp"
@@ -574,6 +575,62 @@ TEST(PayloadTest, BadWireImageThrows) {
                common::ParseError);
   const std::byte bad_tag[] = {std::byte{0xFF}};
   EXPECT_THROW((void)Payload::from_wire(bad_tag), common::ParseError);
+  // The borrowing overload refuses the same images.
+  auto& pool = dm::FramePool::global();
+  EXPECT_THROW((void)Payload::from_wire(dm::FrameView{}), common::ParseError);
+  EXPECT_THROW((void)Payload::from_wire(pool.copy_of({})),
+               common::ParseError);
+  EXPECT_THROW((void)Payload::from_wire(pool.copy_of(bad_tag)),
+               common::ParseError);
+  const std::byte zero_tag[] = {std::byte{0}};
+  EXPECT_THROW((void)Payload::from_wire(pool.copy_of(zero_tag)),
+               common::ParseError);
+}
+
+TEST(Payload, FromWireBorrowsThePooledFrame) {
+  const Payload src = Payload::of_vector(std::vector<double>{1.5, -2.0, 3.25});
+  const std::vector<std::byte> image = src.to_wire();
+  auto& pool = dm::FramePool::global();
+  dm::FrameView view = pool.copy_of(image);
+  const Payload p = Payload::from_wire(view);
+  EXPECT_EQ(p.wire().data(), view.data());
+  EXPECT_EQ(p.wire().size(), view.size());
+  EXPECT_EQ(p.bytes().data(), view.data() + 1);
+
+  // Drop the view and churn the pool through the same size class: the
+  // payload's reference keeps its slab out of circulation.
+  view.reset();
+  for (int i = 0; i < 64; ++i) {
+    dm::Frame f = pool.allocate(image.size());
+    std::fill(f.span().begin(), f.span().end(), std::byte{0xA5});
+  }
+  pool.trim();
+  EXPECT_EQ(p.to_wire(), image);
+  EXPECT_EQ(p.as_vector(), (std::vector<double>{1.5, -2.0, 3.25}));
+
+  // Copies share the frame; the span overload copies into a new one.
+  const Payload copy = p;
+  EXPECT_EQ(copy.wire().data(), p.wire().data());
+  const Payload copied = Payload::from_wire(std::span(image));
+  EXPECT_NE(copied.wire().data(), image.data());
+  EXPECT_EQ(copied.to_wire(), image);
+}
+
+TEST(Payload, DefaultPayloadIsAnEmptyScalarImage) {
+  const Payload p;
+  EXPECT_EQ(p.type(), PayloadType::kScalar);
+  EXPECT_EQ(p.wire_size(), 1u);
+  EXPECT_EQ(p.size_bytes(), 0u);
+  EXPECT_EQ(p.to_wire(), (std::vector<std::byte>{std::byte{1}}));
+  EXPECT_THROW((void)p.as_scalar(), common::ParseError);
+}
+
+TEST(Payload, VectorIntoOverwritesStaleContents) {
+  const std::vector<double> v{4.0, 5.0, 6.0};
+  std::vector<double> out(50, -1.0);
+  Payload::of_vector(v).vector_into(out);
+  EXPECT_EQ(out, v);
+  EXPECT_THROW(Payload::of_scalar(1.0).vector_into(out), StateError);
 }
 
 TEST(PayloadTest, GarbageCountsThrowParseErrorBeforeAllocating) {
@@ -724,6 +781,45 @@ TEST(GoldenDigest, RationalResample) {
     }
   }
   EXPECT_EQ(h, 0xdb2c6a6d34d64860ull) << std::hex << h;
+
+  // Every residue of the output length mod 4, so the four-lane kernel's
+  // tail runs with 1, 2 and 3 outputs left after the last full group.
+  std::uint64_t tails = kFnvBasis;
+  bool residue_seen[4] = {false, false, false, false};
+  for (const auto& [up, down, taps] : shapes) {
+    for (std::size_t n = 1; n <= 12; ++n) {
+      const auto out =
+          rational_resample(uniform_signal(n, 900 + n), up, down, taps);
+      residue_seen[out.size() % 4] = true;
+      tails = fnv(tails, out);
+    }
+  }
+  EXPECT_TRUE(residue_seen[1] && residue_seen[2] && residue_seen[3]);
+  EXPECT_EQ(tails, 0xc5ccc16b1ba8c8dcull) << std::hex << tails;
+
+  // Into a buffer holding longer, stale contents: equal to a fresh call.
+  const auto signal = uniform_signal(37, 1000);
+  for (const auto& [up, down, taps] : shapes) {
+    std::vector<double> reused(500, 123.0);
+    rational_resample_into(signal, up, down, taps, reused);
+    EXPECT_EQ(reused, rational_resample(signal, up, down, taps));
+  }
+}
+
+TEST(GoldenDigest, PowerSpectrumIntoMatchesTheComplexTransform) {
+  // Windows in the per-thread scratch and past it (8192 points), each
+  // into a buffer holding longer, stale contents; the reference is the
+  // complex transform of the zero-padded signal, bin by bin.
+  std::vector<double> reused(9000, 123.0);
+  for (const std::size_t n : {1, 3, 85, 128, 300, 5000}) {
+    const auto signal = uniform_signal(n, 1100 + n);
+    power_spectrum_into(signal, reused);
+    const auto spec = fft_real(signal);
+    ASSERT_EQ(reused.size(), spec.size());
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      EXPECT_EQ(reused[i], std::norm(spec[i])) << "n " << n << " bin " << i;
+    }
+  }
 }
 
 TEST(GoldenDigest, StreamingStagesOverSeeds) {
